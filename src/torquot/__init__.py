@@ -48,12 +48,10 @@ from .errors import (
 )
 from .exact import (
     IntMatrix,
-    RatMatrix,
     Rational,
     det2,
     gcd_all,
     is_rational_square,
-    rank_rational,
     unimodular_complement,
 )
 from .harness import (

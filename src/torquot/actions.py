@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .errors import FreenessViolation, InputFormatError, PreconditionError
+from .errors import (
+    ClassificationViolation,
+    FreenessViolation,
+    InputFormatError,
+    PreconditionError,
+)
 from .exact import IntMatrix, gcd_all, unimodular_complement
 from .quadforms import BinaryQuadraticForm
 
@@ -217,6 +222,7 @@ def normalize(act: TorusActionS3) -> NormalizedActionS3:
     determinant-1 reparametrization; the transformed action is re-checked to
     be effective and free, and its differential rows are checked to be the
     original ones up to the induced invertible substitution of (s1, s2).
+    A failed re-check raises ClassificationViolation.
     """
     if not is_effective(act):
         raise PreconditionError("normalize requires an effective action")
@@ -240,7 +246,12 @@ def normalize(act: TorusActionS3) -> NormalizedActionS3:
     reparam = unimodular_complement(a1 // d, k1 // d)
     (m, n), (r, s) = reparam.row(0), reparam.row(1)
     new_rows = list(_transform_rows(rows, m, n, r, s))
-    assert new_rows[0][0] == d and new_rows[0][2] == 0
+    if new_rows[0][0] != d or new_rows[0][2] != 0:
+        raise ClassificationViolation(
+            f"reparametrization took the first pair ({a1}, {k1}) to "
+            f"({new_rows[0][0]}, {new_rows[0][2]}), not ({d}, 0)",
+            witness=act.rows,
+        )
 
     slot2 = next(
         (i for i, (_, _, k, l) in enumerate(new_rows) if i >= 1 and k * l != 0),
@@ -259,14 +270,20 @@ def normalize(act: TorusActionS3) -> NormalizedActionS3:
     witness = NormalizationWitness(tuple(perm), reparam)
 
     # postconditions: orbits unchanged means effectiveness/freeness survive,
-    # and the relation pencil is carried by the substitution s -> M s
+    # and the relation pencil is carried by the substitution s -> M s; the
+    # input passed both checks above, so a failure here falsifies the
+    # normalization itself
     if not is_effective(normalized) or not is_free(normalized):
-        raise FreenessViolation("normalization destroyed effectiveness/freeness")
+        raise ClassificationViolation(
+            "normalization destroyed effectiveness/freeness", witness=act.rows
+        )
     old_forms = differential_rows(act)
     new_forms = differential_rows(normalized)
     for i, p in enumerate(perm):
         if new_forms[i].substituted(m, n, r, s) != old_forms[p]:
-            raise FreenessViolation("normalization broke the differential pencil")
+            raise ClassificationViolation(
+                "normalization broke the differential pencil", witness=act.rows
+            )
     return NormalizedActionS3(normalized, witness)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +39,7 @@ from .actions import (
 )
 from .cdga import FreeCDGA, Generator, HomotopyProfile, Monomial, Polynomial, check_elliptic_constraints
 from .errors import ClassificationViolation, FreenessViolation, PreconditionError
-from .exact import IntMatrix, det2, is_rational_square, rank_int_rows
+from .exact import IntMatrix, det2, exact_quotient, is_rational_square, rank_int_rows
 from .quadforms import BinaryQuadraticForm
 
 S2XS2_PRODUCT = "S2xS2_PRODUCT"
@@ -323,13 +324,14 @@ class SubstitutionWitness:
 
     s_map rows give s~i in the s basis, x_map rows give x~i in the x basis;
     verified on construction by re-expanding the transformed differentials.
+    Entries are ints wherever they are integral, Fractions elsewhere.
     """
 
-    s_map: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    x_map: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    s_map: tuple[tuple, tuple]
+    x_map: tuple[tuple, tuple]
 
 
-def _square_of_linear(p: Fraction, q: Fraction) -> BinaryQuadraticForm:
+def _square_of_linear(p, q) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(p * p, 2 * p * q, q * q)
 
 
@@ -343,22 +345,19 @@ def lemma64_substitution(
     The returned substitution is verified exactly: applying x_map to
     (d1, d2) must reproduce the squares of the s_map rows.
     """
-    one = Fraction(1)
     if d1.B == 0 and d1.C == 0 and d1.A != 0 and d2.A == 0 and d2.C != 0:
         alpha, beta, gamma = d1.A, d2.B, d2.C
         if beta == 0:
-            s_map = ((one, Fraction(0)), (Fraction(0), one))
-            x_map = ((1 / alpha, Fraction(0)), (Fraction(0), 1 / gamma))
+            s_map = ((1, 0), (0, 1))
+            x_map = ((exact_quotient(1, alpha), 0), (0, exact_quotient(1, gamma)))
         else:
-            p = beta / (2 * gamma)
-            s_map = ((p, Fraction(0)), (p, one))
-            x_map = (
-                (beta * beta / (4 * alpha * gamma * gamma), Fraction(0)),
-                (beta * beta / (4 * alpha * gamma * gamma), 1 / gamma),
-            )
+            p = exact_quotient(beta, 2 * gamma)
+            c = exact_quotient(beta * beta, 4 * alpha * gamma * gamma)
+            s_map = ((p, 0), (p, 1))
+            x_map = ((c, 0), (c, exact_quotient(1, gamma)))
     elif d1.coefficients() == (0, 1, 0) and d2.coefficients() == (1, 0, 1):
-        s_map = ((one, Fraction(-1)), (one, one))
-        x_map = ((Fraction(-2), one), (Fraction(2), one))
+        s_map = ((1, -1), (1, 1))
+        x_map = ((-2, 1), (2, 1))
     else:
         raise PreconditionError(
             f"pencil ({d1}; {d2}) is not in either normal position"
@@ -426,28 +425,25 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
     if rank_int_rows(eq63_matrix(norm).to_lists()) != 2:
         raise PreconditionError("epsilon is defined only for rank-2 pencils")
     rows = norm.action.rows
-    _, _, k2, l2 = rows[1]
-    eps = None
-    for j, (aj, bj, kj, lj) in enumerate(rows[1:], start=2):
-        xj = det2(bh, aj, lh, kj) * det2(bh, bj, lh, lj)
-        yj = kj * lj
-        if eps is None:
-            if yj == 0 or xj % yj != 0:
-                raise ClassificationViolation(
-                    f"epsilon identity fails at factor {j}: {xj} vs {yj}",
-                    witness=rows,
-                )
-            eps = xj // yj
-            if eps not in (1, -1):
-                raise ClassificationViolation(
-                    f"epsilon = {eps} is not a sign", witness=rows
-                )
-        elif xj != eps * yj:
+    sides = [
+        (det2(bh, aj, lh, kj) * det2(bh, bj, lh, lj), kj * lj)
+        for (aj, bj, kj, lj) in rows[1:]
+    ]
+    # factor 2 fixes epsilon (k2*l2 != 0 in normalized form); the rest must agree
+    x2, y2 = sides[0]
+    if y2 == 0 or x2 % y2 != 0:
+        raise ClassificationViolation(
+            f"epsilon identity fails at factor 2: {x2} vs {y2}", witness=rows
+        )
+    eps = x2 // y2
+    if eps not in (1, -1):
+        raise ClassificationViolation(f"epsilon = {eps} is not a sign", witness=rows)
+    for j, (xj, yj) in enumerate(sides[1:], start=3):
+        if xj != eps * yj:
             raise ClassificationViolation(
                 f"epsilon identity fails at factor {j}: {xj} != {eps}*{yj}",
                 witness=rows,
             )
-    assert eps is not None  # k2*l2 != 0 guarantees the first factor fixes eps
     return eps
 
 
@@ -456,11 +452,17 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
 
 @dataclass(frozen=True)
 class ClassificationResult:
+    """The verdict, with the integer relation forms it was decided from.
+
+    ``pencil``, the reduced echelon basis of the span of ``forms``, is
+    built on first read; campaigns never read it.
+    """
+
     kind: str
     trailing_s3: int
     rank_d3: int
     epsilon: int | None
-    pencil: tuple[BinaryQuadraticForm, ...]
+    forms: tuple[BinaryQuadraticForm, ...]
     n_factors: int
 
     def __post_init__(self):
@@ -470,6 +472,10 @@ class ClassificationResult:
             raise PreconditionError("T1 type corresponds exactly to rank 3")
         if self.epsilon is not None and (self.rank_d3 != 2 or self.epsilon not in (1, -1)):
             raise PreconditionError("epsilon only accompanies rank-2 results")
+
+    @cached_property
+    def pencil(self) -> tuple[BinaryQuadraticForm, ...]:
+        return _echelon_pencil(self.forms)
 
     def to_record(self) -> dict:
         record = {
@@ -540,7 +546,11 @@ def _proof_path_kind(act: TorusActionS3) -> tuple[str, int | None]:
     if lh == 0:
         # gcd-reduced (b1, 0) forces b1 = +-1; kill the s1^2 part of row 2 and
         # land in the first normal position of the substitution lemma
-        assert abs(bh) == 1
+        if abs(bh) != 1:
+            raise ClassificationViolation(
+                f"gcd-reduced first pair ({bh}, 0) is not a unit vector",
+                witness=act.rows,
+            )
         a2, b2, k2, l2 = rows[1]
         d1 = BinaryQuadraticForm(bh, 0, 0)
         d2 = BinaryQuadraticForm(0, a2 * l2 + b2 * k2, k2 * l2)
@@ -572,9 +582,8 @@ def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
         raise PreconditionError("action is not effective")
     if not is_free(act):
         raise PreconditionError("action is not free")
-    forms = differential_rows(act)
-    rank = rank_int_rows([[int(c) for c in f.coefficients()] for f in forms])
-    pencil = _echelon_pencil(forms)
+    forms = tuple(differential_rows(act))
+    rank = rank_int_rows([f.coefficients() for f in forms])
     if rank <= 1:
         raise ClassificationViolation(
             f"relation pencil has rank {rank} < 2 for a free action",
@@ -582,7 +591,7 @@ def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
         )
     if rank == 3:
         return ClassificationResult(
-            T1_S2XS2_PRODUCT, act.n_factors - 3, 3, None, pencil, act.n_factors
+            T1_S2XS2_PRODUCT, act.n_factors - 3, 3, None, forms, act.n_factors
         )
 
     q = _quotient_square_form(forms)
@@ -607,7 +616,7 @@ def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
             f"invariant method says {kind}, proof path says {proof_kind}",
             witness=act.rows,
         )
-    return ClassificationResult(kind, act.n_factors - 2, 2, eps, pencil, act.n_factors)
+    return ClassificationResult(kind, act.n_factors - 2, 2, eps, forms, act.n_factors)
 
 
 # -- circle quotients of S^5 x prod S^3 ----------------------------------------------

@@ -71,35 +71,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise PreconditionError(
-                f"RatMatrix {self.rows}x{self.cols} needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise PreconditionError("ragged rows")
-            flat.extend(Fraction(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-
-def rank_int_rows(rows: list[list[int]]) -> int:
+def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination.
 
     Pivots are chosen with the smallest bit-length among the remaining
@@ -149,22 +121,6 @@ def rank_int_rows(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank_rational(m: RatMatrix) -> int:
-    """Rank over Q; rows are cleared to integers first (rank is unchanged)."""
-    int_rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = math.lcm(*(f.denominator for f in row)) if row else 1
-        int_rows.append([int(f * scale) for f in row])
-    if not int_rows:
-        return 0
-    return rank_int_rows(int_rows)
-
-
-def rank_integer(m: IntMatrix) -> int:
-    return rank_int_rows(m.to_lists()) if m.rows else 0
-
-
 def unimodular_complement(m: int, n: int) -> IntMatrix:
     """Complete a coprime pair (m, n) to a determinant-1 integer matrix.
 
@@ -204,6 +160,12 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return x0, y0
 
 
+def exact_quotient(num, den):
+    """num / den, as an int when den divides num and as a Fraction otherwise."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -215,7 +177,9 @@ def is_rational_square(q) -> bool:
     """True iff q = c^2 for some rational c (0 counts).
 
     A reduced fraction is a rational square exactly when numerator and
-    denominator are both perfect squares.
+    denominator are both perfect squares; an int is its own numerator.
     """
+    if isinstance(q, int):
+        return is_perfect_square(q)
     q = Fraction(q)
     return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)

@@ -4,48 +4,38 @@ These carry the degree-4 relation pencil of a quotient model: each torus
 weight row contributes one form, and the classification of the quotient is
 read off the span of those forms together with the square class of the
 discriminant of the induced square map.
+
+Coefficients are stored as given.  Forms built from weight rows hold Python
+ints, and every operation here keeps them ints, so the classifier never
+leaves integer arithmetic; a Fraction coefficient is carried through
+unchanged where a caller supplies one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import is_rational_square
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryQuadraticForm:
-    A: Fraction
-    B: Fraction
-    C: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "C", Fraction(self.C))
+    A: int
+    B: int
+    C: int
 
     @property
-    def discriminant(self) -> Fraction:
+    def discriminant(self):
         return self.B * self.B - 4 * self.A * self.C
 
     def is_zero(self) -> bool:
         return self.A == 0 and self.B == 0 and self.C == 0
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
+    def coefficients(self) -> tuple:
         return (self.A, self.B, self.C)
-
-    def evaluate(self, s1, s2) -> Fraction:
-        s1, s2 = Fraction(s1), Fraction(s2)
-        return self.A * s1 * s1 + self.B * s1 * s2 + self.C * s2 * s2
-
-    def scaled(self, c) -> "BinaryQuadraticForm":
-        c = Fraction(c)
-        return BinaryQuadraticForm(self.A * c, self.B * c, self.C * c)
 
     def substituted(self, p, q, r, s) -> "BinaryQuadraticForm":
         """Form pulled back along s1 -> p*s1 + q*s2, s2 -> r*s1 + s*s2."""
-        p, q, r, s = (Fraction(v) for v in (p, q, r, s))
         A, B, C = self.A, self.B, self.C
         return BinaryQuadraticForm(
             A * p * p + B * p * r + C * r * r,

@@ -130,6 +130,9 @@ def test_differential_rows_examples():
     assert rows[0].coefficients() == (1, 0, 0)
     assert rows[1].coefficients() == (0, 1, 0)
     assert rows[2].coefficients() == (0, 4, 0)
+    # integer weights give integer forms: the classifier never builds a Fraction
+    assert all(type(c) is int for f in rows for c in f.coefficients())
+    assert type(rows[2].discriminant) is int
 
 
 def test_circle_euler_data_examples():
@@ -208,7 +211,9 @@ def test_normalize_carries_pencil_by_substitution():
         old = differential_rows(act)
         new = differential_rows(norm.action)
         for i, p in enumerate(norm.witness.permutation):
-            assert new[i].substituted(m, n, r, s) == old[p]
+            pulled = new[i].substituted(m, n, r, s)
+            assert pulled == old[p]
+            assert all(type(c) is int for c in pulled.coefficients())
 
 
 def test_free_actions_have_nonzero_rows():

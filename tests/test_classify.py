@@ -35,7 +35,7 @@ from torquot.classify import (
     eq63_matrix,
     quotient_model,
 )
-from torquot.exact import rank_integer
+from torquot.exact import rank_int_rows
 
 from conftest import random_action, random_unimodular, reparametrized
 
@@ -223,7 +223,7 @@ def test_epsilon_rejects_rank3(t1_action):
 def test_eq63_matrix_t1(t1_action):
     m = eq63_matrix(normalize(t1_action))
     assert (m.rows, m.cols) == (3, 3)
-    assert rank_integer(m) == 3
+    assert rank_int_rows(m.to_lists()) == 3
 
 
 def test_epsilon_matches_kind_on_samples():
@@ -250,6 +250,12 @@ def test_lemma64_diagonal_case():
     )
     assert w.s_map == ((1, 0), (0, 1))
     assert w.x_map == ((1, 0), (0, 1))
+    # alpha = -1: 1/alpha is integral, so the map stays on ints
+    w = lemma64_substitution(
+        BinaryQuadraticForm(-1, 0, 0), BinaryQuadraticForm(0, 0, 2)
+    )
+    assert w.x_map == ((-1, 0), (0, Fraction(1, 2)))
+    assert type(w.x_map[0][0]) is int
 
 
 def test_lemma64_generic_case():
@@ -267,6 +273,7 @@ def test_lemma64_special_case():
     )
     assert w.s_map == ((1, -1), (1, 1))
     assert w.x_map == ((-2, 1), (2, 1))
+    assert all(type(v) is int for row in w.s_map + w.x_map for v in row)
 
 
 def test_lemma64_rejects_other_pencils():

@@ -5,8 +5,11 @@ import sys
 import pytest
 
 import torquot.cli as cli
-from torquot import ClassificationViolation
+from torquot import ClassificationViolation, TorusActionS3
+from torquot.actions import format_action
 from torquot.cli import cli_main
+
+from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS
 
 T1_JSON = json.dumps(
     {
@@ -66,6 +69,45 @@ def test_classify_t1(capsys, t1_file):
     record = json.loads(out)
     assert record["kind"] == "T1_S2xS2_PRODUCT"
     assert record["violations"] == []
+
+
+# classify output, byte for byte, as it stood when the pencil was a stored
+# Fraction echelon basis; the last two bases have non-integral entries
+CLASSIFY_RECORDS = [
+    (
+        T1_ROWS,
+        '{"kind": "T1_S2xS2_PRODUCT", "pencil": [["1", "0", "0"], ["0", "1", "0"], '
+        '["0", "0", "1"]], "rank_d3": 3, "trailing_s3": 0, "violations": []}\n',
+    ),
+    (
+        HOPF_ROWS,
+        '{"kind": "S2xS2_PRODUCT", "pencil": [["1", "0", "0"], ["0", "0", "1"]], '
+        '"rank_d3": 2, "trailing_s3": 1, "violations": []}\n',
+    ),
+    (
+        CP2_ROWS,
+        '{"epsilon": -1, "kind": "CP2_CONNSUM_PRODUCT", "pencil": [["1", "0", "-1"], '
+        '["0", "1", "0"]], "rank_d3": 2, "trailing_s3": 1, "violations": []}\n',
+    ),
+    (
+        ((1, 1, 1, 0), (2, 0, 1, 2), (0, -2, 1, -1)),
+        '{"epsilon": -1, "kind": "CP2_CONNSUM_PRODUCT", "pencil": [["1", "0", "-1/2"], '
+        '["0", "1", "1/2"]], "rank_d3": 2, "trailing_s3": 1, "violations": []}\n',
+    ),
+    (
+        ((-1, -1, 1, 1), (-1, 0, -1, 0), (2, 2, -1, -1)),
+        '{"kind": "S2xS2_PRODUCT", "pencil": [["1", "0", "-1/2"], ["0", "1", "-3/4"]], '
+        '"rank_d3": 2, "trailing_s3": 1, "violations": []}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, expected", CLASSIFY_RECORDS)
+def test_classify_records_byte_identical(capsys, tmp_path, rows, expected):
+    path = tmp_path / "action.json"
+    path.write_text(format_action(TorusActionS3(rows)))
+    assert cli_main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_free_check(capsys, t1_file):

@@ -8,14 +8,12 @@ from hypothesis import given, strategies as st
 from torquot import (
     IntMatrix,
     PreconditionError,
-    RatMatrix,
     det2,
     gcd_all,
     is_rational_square,
-    rank_rational,
     unimodular_complement,
 )
-from torquot.exact import rank_int_rows
+from torquot.exact import exact_quotient, rank_int_rows
 
 
 def test_rational_invariants():
@@ -41,39 +39,42 @@ def test_det2_examples():
     assert det2(2, 4, 1, 2) == 0
 
 
+def _cleared(rows):
+    """Each rational row times the lcm of its denominators: same rank over Q."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(Fraction(v) * scale) for v in row])
+    return out
+
+
 def test_rank_identity():
-    m = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank_rational(m) == 3
+    assert rank_int_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_t1_relation_matrix():
     # relation matrix of the unit-tangent-bundle action: columns
     # (b1, l1, 0) and (a_j b_j, a_j l_j + b_j k_j, k_j l_j)
-    m = RatMatrix.from_rows([[1, 0, 0], [0, 0, 4], [0, 1, 0]])
-    assert rank_rational(m) == 3
+    assert rank_int_rows([[1, 0, 0], [0, 0, 4], [0, 1, 0]]) == 3
 
 
 def test_rank_zero_matrix():
-    m = RatMatrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    assert rank_rational(m) == 0
+    assert rank_int_rows([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]) == 0
 
 
 def test_rank_fractions():
-    dependent = RatMatrix.from_rows(
-        [
-            [Fraction(1, 2), Fraction(1, 3)],
-            [Fraction(3, 2), Fraction(1, 1)],  # 3 x the first row
-        ]
-    )
-    assert rank_rational(dependent) == 1
-    m = RatMatrix.from_rows(
-        [
-            [Fraction(1, 2), Fraction(1, 3)],
-            [Fraction(3, 2), Fraction(2, 1)],
-            [Fraction(1, 1), Fraction(2, 3)],  # 2 x the first row
-        ]
-    )
-    assert rank_rational(m) == 2
+    dependent = [
+        [Fraction(1, 2), Fraction(1, 3)],
+        [Fraction(3, 2), Fraction(1, 1)],  # 3 x the first row
+    ]
+    assert _cleared(dependent) == [[3, 2], [3, 2]]
+    assert rank_int_rows(_cleared(dependent)) == 1
+    m = [
+        [Fraction(1, 2), Fraction(1, 3)],
+        [Fraction(3, 2), Fraction(2, 1)],
+        [Fraction(1, 1), Fraction(2, 3)],  # 2 x the first row
+    ]
+    assert rank_int_rows(_cleared(m)) == 2
 
 
 def _rank_mod_p(rows, p):
@@ -106,11 +107,9 @@ def test_rank_agrees_with_prime_field():
             [rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)
         ]
         dens = [rng.randint(1, 9) for _ in range(nrows)]
-        rat = RatMatrix.from_rows(
-            [[Fraction(v, d) for v in row] for row, d in zip(num_rows, dens)]
-        )
+        rat = [[Fraction(v, d) for v in row] for row, d in zip(num_rows, dens)]
         # row scaling by units of GF(p) does not change rank mod p
-        assert rank_rational(rat) == _rank_mod_p(num_rows, p)
+        assert rank_int_rows(_cleared(rat)) == _rank_mod_p(num_rows, p)
 
 
 def test_unimodular_complement_identity():
@@ -157,6 +156,7 @@ def test_unimodular_complement_property(m, n):
 
 def test_is_rational_square_examples():
     assert is_rational_square(Fraction(4, 9))
+    assert is_rational_square(49) and not is_rational_square(48)
     assert not is_rational_square(2)
     assert is_rational_square(0)
     assert not is_rational_square(-4)
@@ -180,11 +180,17 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(PreconditionError):
         IntMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(PreconditionError):
-        RatMatrix(1, 2, (Fraction(1),))
 
 
 def test_rank_int_rows_rectangular():
     assert rank_int_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
     assert rank_int_rows([[5]]) == 1
     assert rank_int_rows([[0]]) == 0
+
+
+def test_exact_quotient_types():
+    assert exact_quotient(6, 3) == 2 and type(exact_quotient(6, 3)) is int
+    assert exact_quotient(-1, -1) == 1 and type(exact_quotient(-1, -1)) is int
+    assert exact_quotient(3, -2) == Fraction(-3, 2)
+    assert exact_quotient(Fraction(3, 2), 3) == Fraction(1, 2)
+    assert type(exact_quotient(Fraction(3), 3)) is int

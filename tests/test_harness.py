@@ -2,9 +2,18 @@ import json
 
 import pytest
 
+import torquot.actions as actions
+import torquot.classify as classify
 import torquot.harness as harness
-from torquot import ClassificationViolation, PreconditionError, TorusActionS3
+from torquot import (
+    BinaryQuadraticForm,
+    ClassificationViolation,
+    PreconditionError,
+    TorusActionS3,
+)
+from torquot.actions import format_action
 from torquot.classify import classify_t2_quotient
+from torquot.cli import cli_main
 from torquot.harness import (
     CampaignReport,
     GridSpec,
@@ -150,3 +159,83 @@ def test_expected_table_truncation():
     assert len(expected_effective_max_profiles(10)) == 5
     with pytest.raises(PreconditionError):
         expected_effective_max_profiles(9)
+
+
+def test_campaigns_never_build_the_pencil(monkeypatch):
+    # the echelon basis is for output records only; a campaign that built
+    # it would hit the forbidden stand-in and abort
+    grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
+    expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
+
+    def forbidden(forms):
+        raise AssertionError("a campaign built the echelon pencil")
+
+    monkeypatch.setattr(classify, "_echelon_pencil", forbidden)
+    assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
+
+
+# -- fault injection on the proof path -------------------------------------------------
+#
+# Each fake corrupts one row (or one form) of a step inside normalization or
+# the proof path.  The re-checks must turn that into a ClassificationViolation:
+# recorded as a witness by a campaign, exit 2 from the CLI.
+
+FAULT_ROWS = ((1, 1, 1, 0), (0, 0, 1, 1))  # free, rank 2, k1 != 0 before normalizing
+_transform_rows = actions._transform_rows
+_differential_rows = actions.differential_rows
+
+
+def _shift_first_pair(rows, m, n, r, s):
+    out = list(_transform_rows(rows, m, n, r, s))
+    a, b, k, l = out[0]
+    out[0] = (a, b, k + 1, l)
+    return tuple(out)
+
+
+def _double_second_row(rows, m, n, r, s):
+    out = list(_transform_rows(rows, m, n, r, s))
+    out[1] = tuple(2 * v for v in out[1])  # every minor of two factors doubles
+    return tuple(out)
+
+
+def _bump_first_form(act):
+    forms = _differential_rows(act)
+    f = forms[0]
+    forms[0] = BinaryQuadraticForm(f.A + 1, f.B, f.C)
+    return forms
+
+
+FAULTS = {
+    "reparametrized first pair": (
+        actions, "_transform_rows", _shift_first_pair, "reparametrization took"
+    ),
+    "freeness postcondition": (
+        actions, "_transform_rows", _double_second_row, "destroyed effectiveness/freeness"
+    ),
+    "pencil postcondition": (
+        actions, "differential_rows", _bump_first_form, "broke the differential pencil"
+    ),
+    "unit first pair": (
+        classify, "_reduced_first_pair", lambda norm: (2, 0), "is not a unit vector"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
+    module, name, fake, message = FAULTS[fault]
+    monkeypatch.setattr(module, name, fake)
+
+    report = run_t2_campaign(GridSpec(2, 1), jobs=1)
+    totals = report.totals
+    assert totals["violations"] > 0
+    assert totals["free"] == totals["violations"] + sum(totals["kinds"].values())
+    assert all(message in w["error"] for w in report.violation_witnesses)
+    assert [list(r) for r in FAULT_ROWS] in [w["rows"] for w in report.violation_witnesses]
+
+    path = tmp_path / "action.json"
+    path.write_text(format_action(TorusActionS3(FAULT_ROWS)))
+    assert cli_main(["classify", str(path)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert message in record["violations"][0]
+    assert record["witness"] == [list(r) for r in FAULT_ROWS]
