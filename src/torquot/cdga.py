@@ -284,6 +284,32 @@ def _degree_basis(degrees: tuple[int, ...], q: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
+def _pack(powers: Iterable[tuple[int, int]], radix: int) -> int:
+    return sum(e * radix ** i for i, e in powers)
+
+
+@lru_cache(maxsize=None)
+def _differential_shape(degrees: tuple[int, ...], q: int):
+    """The model-free part of d_q: for each basis monomial v of degree q, one
+    (i, e_i * (-1)^(degree before i), packed v - e_i, its odd-generator bitmask)
+    per generator i in v; and the column of each packed monomial of degree q + 1.
+    Packing is base q + 2, which no exponent in degree q + 1 reaches."""
+    radix = q + 2
+    index = {_pack(enumerate(v), radix): j for j, v in enumerate(_degree_basis(degrees, q + 1))}
+    shape = []
+    for v in _degree_basis(degrees, q):
+        key = _pack(enumerate(v), radix)
+        mask = sum(1 << i for i, e in enumerate(v) if e * degrees[i] % 2)
+        entries, parity = [], 0
+        for i, e in enumerate(v):
+            if e:
+                odd = degrees[i] % 2
+                entries.append((i, -e if parity else e, key - radix ** i, mask & ~(odd << i)))
+                parity ^= odd
+        shape.append(tuple(entries))
+    return tuple(shape), index
+
+
 class FreeCDGA:
     """A free CDGA with named generators and a derivation differential.
 
@@ -437,40 +463,50 @@ class FreeCDGA:
             out.append(Monomial(tuple((i, e) for i, e in enumerate(expo) if e)))
         return out
 
-    def _differential_rank(self, q: int, dom: list[Monomial], cod: list[Monomial]) -> int:
-        if not dom or not cod:
-            return 0
-        index = {m: j for j, m in enumerate(cod)}
-        rows = []
-        for mono in dom:
-            img = self.apply_differential(Polynomial.monomial(mono))
-            row = [Fraction(0)] * len(cod)
-            for m, c in img.terms.items():
-                row[index[m]] = c
-            rows.append(row)
-        int_rows = []
-        for row in rows:
-            scale = math.lcm(*(c.denominator for c in row))
-            int_rows.append([int(c * scale) for c in row])
-        return rank_int_rows(int_rows)
-
     def betti_numbers(self, max_degree: int) -> list[int]:
         """b_0 .. b_max_degree by exact rank computation per degree.
 
         b_q = dim ker(d_q) - rank(d_{q-1})
             = (#basis_q - rank d_q) - rank d_{q-1}.
+
+        d_q is filled as integer rows: _differential_shape, plus each d(x_i).
         """
         if max_degree < 0:
             raise PreconditionError("max_degree must be >= 0")
-        bases = [self.basis(q) for q in range(max_degree + 2)]
-        ranks = [
-            self._differential_rank(q, bases[q], bases[q + 1])
-            for q in range(max_degree + 1)
-        ]
-        betti = []
+        images = []
+        for i, img in enumerate(self._diff):
+            terms = []
+            for mono, c in img.terms.items():
+                odd = [gi for gi, _ in mono.powers if self._odd[gi]]
+                sign_mask = 0  # Koszul sign: odd generators strictly between gi and i
+                for gi in odd:
+                    sign_mask ^= (1 << max(gi, i)) - (1 << (min(gi, i) + 1))
+                c = c.numerator if c.denominator == 1 else c
+                terms.append((mono.powers, c, sum(1 << gi for gi in odd), sign_mask))
+            images.append(terms)
+        rational = any(type(t[1]) is not int for terms in images for t in terms)
+        degrees = tuple(g.degree for g in self.generators)
+        betti, ranks = [], [0]
         for q in range(max_degree + 1):
-            prev = ranks[q - 1] if q > 0 else 0
-            betti.append(len(bases[q]) - ranks[q] - prev)
+            shape, index = _differential_shape(degrees, q)
+            packed = [[(_pack(p, q + 2), *rest) for p, *rest in terms] for terms in images]
+            rows = []
+            for entries in shape:
+                row = [0] * len(index)
+                for i, f, base, mask in entries:
+                    for t, c, odd_mask, sign_mask in packed[i]:
+                        if odd_mask:
+                            if mask & odd_mask:
+                                continue  # odd square
+                            if (mask & sign_mask).bit_count() & 1:
+                                c = -c
+                        row[index[base + t]] += f * c
+                if rational:
+                    scale = math.lcm(*(c.denominator for c in row))
+                    row = [int(c * scale) for c in row]
+                rows.append(row)
+            ranks.append(rank_int_rows(rows) if shape and index else 0)
+            betti.append(len(shape) - ranks[-1] - ranks[-2])
         return betti
 
 

@@ -433,16 +433,17 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
     x2, y2 = sides[0]
     if y2 == 0 or x2 % y2 != 0:
         raise ClassificationViolation(
-            f"epsilon identity fails at factor 2: {x2} vs {y2}", witness=rows
+            f"epsilon identity fails at factor 2: {x2} vs {y2}", witness=rows, stage="epsilon"
         )
     eps = x2 // y2
     if eps not in (1, -1):
-        raise ClassificationViolation(f"epsilon = {eps} is not a sign", witness=rows)
+        raise ClassificationViolation(f"epsilon = {eps} is not a sign", witness=rows, stage="epsilon")
     for j, (xj, yj) in enumerate(sides[1:], start=3):
         if xj != eps * yj:
             raise ClassificationViolation(
                 f"epsilon identity fails at factor {j}: {xj} != {eps}*{yj}",
                 witness=rows,
+                stage="epsilon",
             )
     return eps
 

@@ -263,7 +263,7 @@ def cli_main(argv=None) -> int:
             "violations": [str(exc)],
         }
         if exc.witness is not None:
-            record["witness"] = [list(r) for r in exc.witness]
+            record["witness"] = exc.witness  # tuples print as JSON lists
         print(json.dumps(record, sort_keys=True))
         return EXIT_VIOLATION
     except PreconditionError as exc:

@@ -31,9 +31,10 @@ class ClassificationViolation(Exception):
     """A certified-impossible state was reached while classifying.
 
     Carries the offending data so campaign harnesses can emit a reproducible
-    witness.
+    witness, and optionally the stage that failed (e.g. "epsilon").
     """
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness=None, stage: str | None = None):
         super().__init__(message)
         self.witness = witness
+        self.stage = stage

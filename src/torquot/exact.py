@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import ClassificationViolation, PreconditionError
 
 Rational = Fraction
 
@@ -142,7 +142,8 @@ def unimodular_complement(m: int, n: int) -> IntMatrix:
         candidates = [(r0, 0)]
     best = min(candidates, key=lambda rs: (abs(rs[0]), abs(rs[1])))
     r, s = best
-    assert m * s - n * r == 1
+    if m * s - n * r != 1:
+        raise ClassificationViolation(f"unimodular complement of ({m}, {n}) failed", witness=(m, n))
     return IntMatrix.from_rows([[m, n], [r, s]])
 
 

@@ -20,7 +20,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .actions import TorusActionS3, _free_rows
@@ -95,10 +94,10 @@ class CampaignReport:
 
     def __post_init__(self):
         kinds_sum = sum(self.totals.get("kinds", {}).values())
-        assert self.totals.get("effective", 0) >= self.totals.get("free", 0) >= kinds_sum
-        assert (len(self.violation_witnesses) == 0) == (
-            self.totals.get("violations", 0) == 0
-        )
+        if not self.totals.get("effective", 0) >= self.totals.get("free", 0) >= kinds_sum:
+            raise PreconditionError("report totals need effective >= free >= sum of kinds")
+        if (len(self.violation_witnesses) == 0) != (self.totals.get("violations", 0) == 0):
+            raise PreconditionError("report has violations without witnesses or vice versa")
 
     def to_record(self) -> dict:
         record = {
@@ -123,12 +122,11 @@ def _classify_rows(rows, tally, witnesses):
         result = classify_t2_quotient(TorusActionS3(rows))
     except ClassificationViolation as exc:
         tally["violations"] += 1
-        message = str(exc)
         witnesses.append(
             {
                 "rows": [list(r) for r in rows],
-                "error": message,
-                "epsilon_related": "epsilon" in message,
+                "error": str(exc),
+                "epsilon_related": exc.stage == "epsilon",
             }
         )
         return
@@ -271,6 +269,7 @@ def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
     if jobs == 1:
         parts = [worker(w) for w in work]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(worker, work))
 

@@ -29,7 +29,7 @@ from torquot import (
     slice_invariants,
     square_class_isomorphic,
 )
-from torquot.actions import CircleActionSpheres, circle_euler_data
+from torquot.actions import CircleActionSpheres, _free_rows, circle_euler_data
 from torquot.classify import (
     _quotient_square_form,
     canonical_quotient_model,
@@ -186,6 +186,48 @@ def test_criterion_4_betti_oracle_agreement():
         mismatches == 0,
         "1000 stratified actions: quotient Betti numbers match the canonical "
         f"model degree-by-degree with Poincare duality, {mismatches} mismatches",
+    )
+
+
+def test_criterion_4b_betti_oracle_on_every_15th_free_action():
+    # every 15th free action of the N=3, B=1 grid in odometer order, checked
+    # the same way as criterion 4
+    vals = (-1, 0, 1)
+    canonical_betti = {
+        kind: canonical_quotient_model(kind, 3).betti_numbers(7)
+        for kind in FROZEN_T2_TOTALS["kinds"]
+    }
+    canonical_isotropy = {
+        "S2xS2_PRODUCT": "isotropic",
+        "CP2_CONNSUM_PRODUCT": "anisotropic",
+    }
+    counts = {kind: 0 for kind in canonical_betti}
+    free_seen = 0
+    mismatches = 0
+    for rows in itertools.product(itertools.product(vals, repeat=4), repeat=3):
+        # the freeness test on the raw rows first: it rejects 70% of the grid
+        if not (_free_rows(rows) and is_effective(TorusActionS3(rows))):
+            continue
+        free_seen += 1
+        if (free_seen - 1) % 15:
+            continue
+        act = TorusActionS3(rows)
+        result = classify_t2_quotient(act)
+        counts[result.kind] += 1
+        betti = quotient_model(act).betti_numbers(7)
+        if betti != canonical_betti[result.kind] or betti != betti[::-1]:
+            mismatches += 1
+        elif result.rank_d3 == 2:
+            q = _quotient_square_form(result.pencil)
+            if q.isotropy() != canonical_isotropy[result.kind]:
+                mismatches += 1
+    checked = sum(counts.values())
+    _criterion(
+        "4b",
+        free_seen == FROZEN_T2_TOTALS["free"] and checked == 10_477 and mismatches == 0,
+        f"every 15th of {free_seen} free N=3, B=1 actions: {checked} checked "
+        f"against the canonical Betti numbers, Poincare duality and isotropy, "
+        f"kinds {counts}, {mismatches} mismatches",
     )
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,11 +13,17 @@ from torquot import (
     Monomial,
     Polynomial,
     PreconditionError,
+    TorusActionS3,
     check_elliptic_constraints,
     chi_pi,
     poincare_polynomial_spheres,
 )
 from torquot.cdga import format_model, format_polynomial, parse_model, parse_polynomial
+from torquot.classify import build_d_alpha_model, canonical_quotient_model, quotient_model
+from torquot.exact import rank_int_rows
+
+from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS
+from test_classify import _circle_quotient_model
 
 
 def two_sphere_model():
@@ -244,6 +251,105 @@ def test_betti_zero_differential_equals_hilbert_series():
     a = FreeCDGA([Generator(f"x{i}", d) for i, d in enumerate(dims)])
     full = poincare_polynomial_spheres(dims)
     assert a.betti_numbers(len(full) - 1) == full
+
+
+def reference_betti(a, max_degree):
+    """Betti numbers from d_q matrices built by apply_differential."""
+    bases = [a.basis(q) for q in range(max_degree + 2)]
+    ranks = []
+    for q in range(max_degree + 1):
+        index = {m: j for j, m in enumerate(bases[q + 1])}
+        rows = []
+        for mono in bases[q]:
+            row = [Fraction(0)] * len(index)
+            image = a.apply_differential(Polynomial.monomial(mono))
+            for m, c in image.terms.items():
+                row[index[m]] = c
+            scale = math.lcm(*(c.denominator for c in row))
+            rows.append([int(c * scale) for c in row])
+        ranks.append(rank_int_rows(rows))
+    return [
+        len(bases[q]) - ranks[q] - (ranks[q - 1] if q else 0)
+        for q in range(max_degree + 1)
+    ]
+
+
+@st.composite
+def two_stage_models(draw):
+    """Closed first-stage generators, then generators whose differentials
+    are random polynomials in the first stage, in a shuffled order."""
+    first = draw(st.lists(st.sampled_from([2, 3, 3, 3, 4, 5]), min_size=2, max_size=4))
+    second = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["minimal", "relative"]))
+    degrees = first + second
+    order = draw(st.permutations(range(len(degrees))))
+    gens = [Generator(f"g{i}", degrees[j]) for i, j in enumerate(order)]
+    position = {j: i for i, j in enumerate(order)}
+    closed = FreeCDGA([Generator(f"f{j}", d) for j, d in enumerate(first)])
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    differential = {}
+    for j, d in enumerate(second, start=len(first)):
+        image = {}
+        for mono in closed.basis(d + 1):
+            if kind == "minimal" and mono.word_length < 2:
+                continue
+            c = draw(coeffs)
+            moved = tuple(sorted((position[g], e) for g, e in mono.powers))
+            image[Monomial(moved)] = c
+        differential[position[j]] = Polynomial(image)
+    return FreeCDGA(gens, differential, kind=kind)
+
+
+@given(two_stage_models(), st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_betti_matches_apply_differential_reference(model, max_degree):
+    assert model.betti_numbers(max_degree) == reference_betti(model, max_degree)
+
+
+def _koszul_models():
+    # odd x, y, z on both sides of the generators whose differentials
+    # contain them, so that the ranks of d_q depend on the Koszul signs
+    def poly(*terms):
+        return Polynomial({Monomial(powers): c for powers, c in terms})
+
+    gens = [Generator("x", 3), Generator("u", 2), Generator("y", 3),
+            Generator("w", 5), Generator("z", 3)]
+    du = poly((((0, 1),), -1), (((2, 1),), 2), (((4, 1),), 1))
+    for c in (0, -2, Fraction(3, 4)):
+        dw = poly((((0, 1), (2, 1)), c))
+        yield FreeCDGA(gens, {1: du, 3: dw}, kind="relative")
+    gens = [Generator("z", 7), Generator("x", 3), Generator("u", 2),
+            Generator("y", 3), Generator("s", 2)]
+    du = poly((((1, 1),), -1), (((3, 1),), 2))
+    for c in (1, -2, Fraction(3, 4)):
+        dz = poly((((4, 4),), 2), (((1, 1), (3, 1), (4, 1)), c))
+        yield FreeCDGA(gens, {0: dz, 2: du}, kind="relative")
+
+
+@pytest.mark.parametrize("model", list(_koszul_models()))
+def test_betti_koszul_signs_against_reference(model):
+    assert model.betti_numbers(12) == reference_betti(model, 12)
+
+
+QUOTIENT_MODELS = [
+    *(
+        (_circle_quotient_model(lambdas, alpha), 5 + 3 * len(lambdas) - 1)
+        for lambdas, alpha in [((2, 0), 3), ((1, 1), 0), ((0, 0, 5), -2), ((0, 0), 4), ((0,), 1)]
+    ),
+    (build_d_alpha_model(-1, 0), 7),
+    (build_d_alpha_model(1, 0), 7),
+    (build_d_alpha_model(Fraction(2, 3), 2), 10),
+    *((quotient_model(TorusActionS3(rows)), 7) for rows in (T1_ROWS, HOPF_ROWS, CP2_ROWS)),
+    *(
+        (canonical_quotient_model(kind, 4), 10)
+        for kind in ("S2xS2_PRODUCT", "CP2_CONNSUM_PRODUCT", "T1_S2xS2_PRODUCT")
+    ),
+]
+
+
+@pytest.mark.parametrize("model, max_degree", QUOTIENT_MODELS)
+def test_betti_matches_reference_on_quotient_models(model, max_degree):
+    assert model.betti_numbers(max_degree) == reference_betti(model, max_degree)
 
 
 def test_poincare_polynomial_spheres_examples():

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 import torquot.actions as actions
 import torquot.classify as classify
+import torquot.exact as exact
 import torquot.harness as harness
 from torquot import (
     BinaryQuadraticForm,
@@ -100,7 +103,9 @@ def test_violation_witnesses_recorded(monkeypatch):
 
     def fake_classify(act):
         if act.rows == target:
-            raise ClassificationViolation("epsilon identity fails (forced)", witness=act.rows)
+            raise ClassificationViolation(
+                "epsilon identity fails (forced)", witness=act.rows, stage="epsilon"
+            )
         return classify_t2_quotient(act)
 
     monkeypatch.setattr(harness, "classify_t2_quotient", fake_classify)
@@ -130,9 +135,17 @@ def test_witnesses_sorted_canonically(monkeypatch):
 
 
 def test_campaign_report_invariants():
-    with pytest.raises(AssertionError):
+    # checked by raising, so the checks survive python -O
+    with pytest.raises(PreconditionError):
         CampaignReport(
             totals={"tested": 1, "effective": 0, "free": 1, "violations": 0, "kinds": {}},
+            violation_witnesses=[],
+            wall_time=0.0,
+            config={},
+        )
+    with pytest.raises(PreconditionError):
+        CampaignReport(
+            totals={"tested": 1, "effective": 1, "free": 1, "violations": 1, "kinds": {}},
             violation_witnesses=[],
             wall_time=0.0,
             config={},
@@ -239,3 +252,47 @@ def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert message in record["violations"][0]
     assert record["witness"] == [list(r) for r in FAULT_ROWS]
+
+
+def test_import_does_not_load_multiprocessing():
+    # the process pool is imported only when a campaign runs with jobs > 1
+    code = "import sys, torquot; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_bad_unimodular_complement_is_violation(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(exact, "_bezout", lambda a, b: (0, 0))
+    report = run_t2_campaign(GridSpec(2, 1), jobs=1)
+    assert report.totals["violations"] > 0
+    assert all("unimodular complement" in w["error"] for w in report.violation_witnesses)
+
+    path = tmp_path / "action.json"
+    path.write_text(format_action(TorusActionS3(FAULT_ROWS)))
+    assert cli_main(["normalize", str(path)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert "unimodular complement" in record["violations"][0]
+    assert record["witness"] == [1, 1]
+
+
+def test_epsilon_related_comes_from_the_stage(monkeypatch):
+    # a lemma 6.4 fault whose message mentions epsilon is not an epsilon fault
+    def fake_lemma64(d1, d2):
+        raise ClassificationViolation("rewrite after epsilon fails (forced)")
+
+    monkeypatch.setattr(classify, "lemma64_substitution", fake_lemma64)
+    report = run_t2_campaign(GridSpec(2, 1), jobs=1)
+    assert report.totals["violations"] > 0
+    assert not any(w["epsilon_related"] for w in report.violation_witnesses)
+    assert report.epsilon_checks["failures"] == 0
+    assert set(report.violation_witnesses[0]) == {"rows", "error", "epsilon_related"}
+
+    # a genuine epsilon fault: every determinant product comes out 0
+    monkeypatch.undo()
+    monkeypatch.setattr(classify, "det2", lambda a, b, c, d: 0)
+    report = run_t2_campaign(GridSpec(2, 1), jobs=1)
+    assert report.totals["violations"] > 0
+    assert all(w["epsilon_related"] for w in report.violation_witnesses)
+    assert report.epsilon_checks["failures"] == report.totals["violations"]
