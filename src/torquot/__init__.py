@@ -35,7 +35,6 @@ from .classify import (
     max_effective_rank,
     profile_to_models,
     quotient_model,
-    rank_bounds,
     slice_invariants,
     square_class_isomorphic,
 )
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .exact import (
     IntMatrix,
-    Rational,
     det2,
     gcd_all,
     is_rational_square,

@@ -50,9 +50,6 @@ class TorusActionS3:
     def n_factors(self) -> int:
         return len(self.rows)
 
-    def permuted(self, perm: Sequence[int]) -> "TorusActionS3":
-        return TorusActionS3(tuple(self.rows[p] for p in perm))
-
 
 @dataclass(frozen=True)
 class CircleActionSpheres:
@@ -103,10 +100,17 @@ class NormalizedActionS3:
 # -- effectiveness and freeness ------------------------------------------------
 
 
+def _effective_rows(rows: Sequence[Row]) -> bool:
+    """gcd(all a, b) == gcd(all k, l) == 1."""
+    g_ab = g_kl = 0
+    for a, b, k, l in rows:
+        g_ab = math.gcd(g_ab, a, b)
+        g_kl = math.gcd(g_kl, k, l)
+    return g_ab == 1 and g_kl == 1
+
+
 def is_effective(act: TorusActionS3) -> bool:
-    ab = [v for (a, b, _, _) in act.rows for v in (a, b)]
-    kl = [v for (_, _, k, l) in act.rows for v in (k, l)]
-    return gcd_all(ab) == 1 and gcd_all(kl) == 1
+    return _effective_rows(act.rows)
 
 
 def _free_rows(rows: Sequence[Row]) -> bool:

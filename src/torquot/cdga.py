@@ -102,17 +102,6 @@ class Polynomial:
         p.terms = out
         return p
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return Polynomial.zero()
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: v * c for m, v in self.terms.items()}
-        return p
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -204,12 +193,6 @@ class HomotopyProfile:
             if jj == j:
                 return v
         return 0
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.d)
-
-    def support(self) -> list[int]:
-        return [j for j, _ in self.d]
 
 
 def chi_pi(p: HomotopyProfile) -> int:
@@ -391,22 +374,6 @@ class FreeCDGA:
 
     def __hash__(self):
         return hash(tuple(g.degree for g in self.generators))
-
-    # -- accessors ------------------------------------------------------------
-
-    def generator_index(self, name: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                return i
-        raise KeyError(name)
-
-    def gen(self, name: str) -> Polynomial:
-        """The generator as a polynomial (handy for building expressions)."""
-        i = self.generator_index(name)
-        return Polynomial.monomial(Monomial(((i, 1),)))
-
-    def differential_of(self, i: int) -> Polynomial:
-        return self._diff[i]
 
     # -- algebra operations ----------------------------------------------------
 

@@ -72,25 +72,17 @@ def max_almost_free_rank(n: int) -> tuple[int, bool]:
     return n // 3, n % 3 != 1
 
 
-def rank_bounds(n: int) -> tuple[int, tuple[int, bool]]:
-    return max_effective_rank(n), max_almost_free_rank(n)
-
-
 def slice_invariants(n: int) -> tuple[int, int, int]:
     """(k, s, almost_free_subrank) for a maximal effective action, k = floor(2n/3).
 
     Such an action is slice maximal (n = k + s), and contains an almost-free
-    subtorus of rank 2k - n.  The consistency identities k = 2s - a and
-    n = 3s - a with a = 2n - 3k in {0, 1, 2} are asserted.
+    subtorus of rank 2k - n.  The identities k = 2s - a and n = 3s - a with
+    a = 2n - 3k in {0, 1, 2} follow from k = floor(2n/3).
     """
     if n < 3:
         raise PreconditionError("dimension must be >= 3")
     k = max_effective_rank(n)
-    s = n - k
-    sub = 2 * k - n
-    a = 2 * n - 3 * k
-    assert a in (0, 1, 2) and k == 2 * s - a and n == 3 * s - a
-    return k, s, sub
+    return k, n - k, 2 * k - n
 
 
 # -- homotopy profiles ------------------------------------------------------------

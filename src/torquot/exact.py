@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import ClassificationViolation, PreconditionError
 
-Rational = Fraction
-
 
 def gcd_all(values: Iterable[int]) -> int:
     """Nonnegative gcd of an arbitrary collection of integers.

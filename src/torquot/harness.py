@@ -11,18 +11,19 @@ Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
 lists are sorted canonically, so identical grid specs (including the seed)
 produce identical reports for any worker count.  Random mode draws from
-Python's random.Random (MT19937), named in the report config.
+Python's random.Random (MT19937), named in the report config; the parent
+draws every tuple before the grid is chunked, so the draw order does not
+depend on the worker count either.
 """
 
 from __future__ import annotations
 
-import math
-import os
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 
-from .actions import TorusActionS3, _free_rows
+from .actions import TorusActionS3, _effective_rows, _free_rows
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
@@ -146,61 +147,24 @@ def _fresh_tally() -> dict:
     }
 
 
-def _scan_exhaustive(args) -> tuple[dict, list]:
-    """Worker: classify every tuple with grid index in [lo, hi)."""
-    n_factors, bound, lo, hi = args
-    radix = 2 * bound + 1
-    slots = 4 * n_factors
-    gcd = math.gcd
-    tally = _fresh_tally()
-    witnesses: list = []
+def _scan(args) -> tuple[dict, list]:
+    """Worker: classify the flat weight tuples with grid index in [lo, hi).
 
-    # odometer over base-radix digits, least significant slot last
-    digits = [0] * slots
-    idx = lo
-    for pos in range(slots - 1, -1, -1):
-        idx, digits[pos] = divmod(idx, radix)
-    vals = [d - bound for d in digits]
-
-    for index in range(lo, hi):
-        rows = tuple(tuple(vals[4 * i: 4 * i + 4]) for i in range(n_factors))
-        tally["tested"] += 1
-        g_ab = 0
-        g_kl = 0
-        for a, b, k, l in rows:
-            g_ab = gcd(gcd(g_ab, a), b)
-            g_kl = gcd(gcd(g_kl, k), l)
-        if g_ab == 1 and g_kl == 1:
-            tally["effective"] += 1
-            if _free_rows(rows):
-                tally["free"] += 1
-                _classify_rows(rows, tally, witnesses)
-        # advance odometer
-        for pos in range(slots - 1, -1, -1):
-            if digits[pos] + 1 < radix:
-                digits[pos] += 1
-                vals[pos] += 1
-                break
-            digits[pos] = 0
-            vals[pos] = -bound
-    return tally, witnesses
-
-
-def _scan_tuples(args) -> tuple[dict, list]:
-    """Worker: classify an explicit list of flat weight tuples."""
-    n_factors, flat_tuples = args
-    gcd = math.gcd
+    A random grid's tuples arrive drawn by the parent; an exhaustive grid's
+    are generated here in odometer order (the last slot varies fastest).
+    """
+    grid, lo, hi, flat_tuples = args
+    if flat_tuples is None:
+        b = grid.coefficient_bound
+        odometer = itertools.product(range(-b, b + 1), repeat=4 * grid.n_factors)
+        flat_tuples = itertools.islice(odometer, lo, hi)
+    n_factors = grid.n_factors
     tally = _fresh_tally()
     witnesses: list = []
     for flat in flat_tuples:
-        rows = tuple(tuple(flat[4 * i: 4 * i + 4]) for i in range(n_factors))
+        rows = tuple(flat[4 * i: 4 * i + 4] for i in range(n_factors))
         tally["tested"] += 1
-        g_ab = 0
-        g_kl = 0
-        for a, b, k, l in rows:
-            g_ab = gcd(gcd(g_ab, a), b)
-            g_kl = gcd(gcd(g_kl, k), l)
-        if g_ab == 1 and g_kl == 1:
+        if _effective_rows(rows):
             tally["effective"] += 1
             if _free_rows(rows):
                 tally["free"] += 1
@@ -209,13 +173,7 @@ def _scan_tuples(args) -> tuple[dict, list]:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Requested worker count; the RT_JOBS environment variable overrides."""
-    env = os.environ.get("RT_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise PreconditionError(f"RT_JOBS={env!r} is not an integer")
+    """Requested worker count, 1 by default."""
     if jobs is None:
         jobs = 1
     if jobs < 1:
@@ -241,37 +199,28 @@ def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
     jobs = resolve_jobs(jobs)
     start = time.monotonic()
 
-    if grid.mode == "exhaustive":
-        total = grid.tuple_count
-        n_chunks = min(max(1, jobs * 4), total)
-        bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-        work = [
-            (grid.n_factors, grid.coefficient_bound, bounds[i], bounds[i + 1])
-            for i in range(n_chunks)
-        ]
-        worker = _scan_exhaustive
-    else:
+    total = grid.tuple_count
+    n_chunks = min(jobs * 4, total)
+    bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
+    drawn = None
+    if grid.mode == "random":
         rng = random.Random(grid.seed)
-        slots = 4 * grid.n_factors
         b = grid.coefficient_bound
-        tuples = [
-            tuple(rng.randint(-b, b) for _ in range(slots))
-            for _ in range(grid.count)
+        drawn = [
+            tuple(rng.randint(-b, b) for _ in range(4 * grid.n_factors))
+            for _ in range(total)
         ]
-        n_chunks = min(max(1, jobs * 4), len(tuples))
-        bounds = [len(tuples) * i // n_chunks for i in range(n_chunks + 1)]
-        work = [
-            (grid.n_factors, tuples[bounds[i]:bounds[i + 1]])
-            for i in range(n_chunks)
-        ]
-        worker = _scan_tuples
+    work = [
+        (grid, lo, hi, None if drawn is None else drawn[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
     if jobs == 1:
-        parts = [worker(w) for w in work]
+        parts = [_scan(w) for w in work]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(worker, work))
+            parts = list(pool.map(_scan, work))
 
     tally, witnesses = _merge(parts)
     epsilon_checks = {
@@ -336,37 +285,27 @@ def run_profile_campaign(n_max: int) -> CampaignReport:
     if n_max < 3:
         raise PreconditionError("n_max must be >= 3")
     start = time.monotonic()
-    tested = 0
-    witnesses = []
+    checks = []
     for n in range(3, n_max + 1):
-        tested += 1
-        got = enumerate_profiles(n, max(n // 3, 1), "almost_free")
-        expected = expected_almost_free_profiles(n)
+        checks.append((n, "almost_free", max(n // 3, 1), expected_almost_free_profiles(n)))
+        if n % 3 == 1:
+            checks.append(
+                (n, "effective_max", max_effective_rank(n), expected_effective_max_profiles(n))
+            )
+    witnesses = []
+    for n, mode, k, expected in checks:
+        got = enumerate_profiles(n, k, mode)
         if set(got) != set(expected):
             witnesses.append(
                 {
-                    "rows": [n, "almost_free"],
+                    "rows": [n, mode],
                     "error": "profile mismatch",
                     "expected": [dict(p.d) for p in expected],
                     "got": [dict(p.d) for p in got],
                     "epsilon_related": False,
                 }
             )
-        if n % 3 == 1:
-            tested += 1
-            got = enumerate_profiles(n, max_effective_rank(n), "effective_max")
-            expected = expected_effective_max_profiles(n)
-            if set(got) != set(expected):
-                witnesses.append(
-                    {
-                        "rows": [n, "effective_max"],
-                        "error": "profile mismatch",
-                        "expected": [dict(p.d) for p in expected],
-                        "got": [dict(p.d) for p in got],
-                        "epsilon_related": False,
-                    }
-                )
-    totals = {"tested": tested, "violations": len(witnesses), "kinds": {}}
+    totals = {"tested": len(checks), "violations": len(witnesses), "kinds": {}}
     return CampaignReport(
         totals=totals,
         violation_witnesses=witnesses,

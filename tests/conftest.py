@@ -84,6 +84,11 @@ def random_unimodular(rng: random.Random, steps: int = 4):
     return m
 
 
+def permuted(act: TorusActionS3, perm) -> TorusActionS3:
+    """Action with its sphere factors reordered: row i is act.rows[perm[i]]."""
+    return TorusActionS3(tuple(act.rows[p] for p in perm))
+
+
 def reparametrized(act: TorusActionS3, m) -> TorusActionS3:
     """Action after the torus substitution (x, y) = (z^m00 w^m01, z^m10 w^m11)."""
     (p, q), (r, s) = m

@@ -28,6 +28,7 @@ from conftest import (
     HOPF_ROWS,
     T1_ROWS,
     oracle_is_free,
+    permuted,
     random_action,
     random_unimodular,
     reparametrized,
@@ -89,7 +90,7 @@ def test_free_invariant_under_permutation_and_reparam(data):
     verdict = is_free(act)
     perm = list(range(3))
     rng.shuffle(perm)
-    assert is_free(act.permuted(perm)) == verdict
+    assert is_free(permuted(act, perm)) == verdict
     assert is_free(reparametrized(act, random_unimodular(rng))) == verdict
 
 

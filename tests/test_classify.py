@@ -37,7 +37,7 @@ from torquot.classify import (
 )
 from torquot.exact import rank_int_rows
 
-from conftest import random_action, random_unimodular, reparametrized
+from conftest import permuted, random_action, random_unimodular, reparametrized
 
 
 # -- rank bounds -------------------------------------------------------------------
@@ -412,8 +412,7 @@ def test_classification_invariant_under_symmetry():
         kind = classify_t2_quotient(act).kind
         perm = list(range(3))
         rng.shuffle(perm)
-        permuted = act.permuted(perm)
-        assert classify_t2_quotient(permuted).kind == kind
+        assert classify_t2_quotient(permuted(act, perm)).kind == kind
         reparam = reparametrized(act, random_unimodular(rng))
         # a torus automorphism preserves effectiveness and freeness
         assert is_effective(reparam) and is_free(reparam)

@@ -213,15 +213,13 @@ def test_verify_t2_violation_exit_code(capsys, monkeypatch):
     assert record["totals"]["violations"] > 0
 
 
-def test_rt_jobs_env_respected(capsys, monkeypatch):
-    monkeypatch.setenv("RT_JOBS", "2")
+def test_jobs_flag_does_not_change_record(capsys):
     code, out = run_cli(
         capsys,
         "verify-t2", "--factors", "2", "--bound", "1",
-        "--random", "500", "--seed", "11",
+        "--random", "500", "--seed", "11", "--jobs", "2",
     )
     assert code == 0
-    monkeypatch.delenv("RT_JOBS")
     code2, out2 = run_cli(
         capsys,
         "verify-t2", "--factors", "2", "--bound", "1",
@@ -279,9 +277,10 @@ def test_table_format(capsys, t1_file):
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "torquot.cli", "square-class", "1", "4"],
+        [sys.executable, "-m", "torquot", "square-class", "1", "4"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["isomorphic"] is True

@@ -17,11 +17,9 @@ from torquot.exact import exact_quotient, rank_int_rows
 
 
 def test_rational_invariants():
-    from torquot import Rational
-
-    q = Rational(-4, -8)
+    q = Fraction(-4, -8)
     assert (q.numerator, q.denominator) == (1, 2)  # reduced, positive denominator
-    zero = Rational(0, 5)
+    zero = Fraction(0, 5)
     assert (zero.numerator, zero.denominator) == (0, 1)  # canonical zero
 
 
