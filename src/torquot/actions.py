@@ -6,10 +6,13 @@ A rank-2 torus acts linearly on a product of N unit-quaternion spheres by
 
 so the action is a list of integer quadruples (a_i, b_i, k_i, l_i).  The
 action is effective iff gcd(all a,b) = gcd(all k,l) = 1, and free iff every
-selection of one exponent pair per factor generates the full weight lattice
-(gcd of the 2x2 minors is 1).  Circle actions on products of odd spheres
-carry one weight per complex coordinate and the analogous one-weight-per-
-factor selection criterion.
+selection of one exponent pair per factor generates the full weight lattice.
+A selection fails exactly when it lies in a sublattice of prime index p, the
+preimage of a line in F_p^2, so the action is free iff no prime p and line
+L in F_p^2 hold one exponent pair of every factor mod p; `_free_rows` decides
+that in polynomial time.  Circle actions on products of odd spheres carry
+one weight per complex coordinate and the analogous one-weight-per-factor
+selection criterion: every selection must have gcd 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -26,7 +28,7 @@ from .errors import (
     InputFormatError,
     PreconditionError,
 )
-from .exact import IntMatrix, gcd_all, unimodular_complement
+from .exact import IntMatrix, unimodular_complement
 from .quadforms import BinaryQuadraticForm
 
 Row = tuple[int, int, int, int]
@@ -114,35 +116,60 @@ def is_effective(act: TorusActionS3) -> bool:
 
 
 def _free_rows(rows: Sequence[Row]) -> bool:
-    """Brute force over all 2^N selections of one exponent pair per factor."""
-    pair_choices = []
-    for a, b, k, l in rows:
-        first = (a, k)
-        second = (b, l)
-        pair_choices.append((first,) if first == second else (first, second))
-    n = len(pair_choices)
-    for selection in product(*pair_choices):
-        g = 0
-        for i in range(n):
-            ci, mi = selection[i]
-            for j in range(i + 1, n):
-                cj, mj = selection[j]
-                g = math.gcd(g, ci * mj - cj * mi)
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g != 1:
-            return False
-    return True
+    """No prime p and line L in F_p^2 hold one exponent pair of every factor.
+
+    The line is fixed by the first selected pair that is nonzero mod p, the
+    pivot v = g v' with v' primitive: L = line(v') mod p.  A later factor has
+    a pair u on L iff p divides det(v', u) for one of its pairs, and the
+    pairs selected before the pivot are 0 mod p, so they lie on every line.
+
+    The factors are walked in order with a set of moduli c != 1, each
+    standing for the primes p | c (c = 0: every p) under which each factor
+    so far has a pair that is 0 mod p; it starts as {0}.  A factor with a
+    zero pair keeps the set as it is.  Otherwise, for each c and each pair
+    v = g v' of the factor as pivot: if h = gcd(c, prod_u det(v', u) for
+    every later factor) is not 1, any p | h (every p when h = 0, a rank <= 1
+    selection) puts one pair of every factor on line(v'), so the action is
+    not free; else v is 0 mod the primes of gcd(c, g), which is carried to
+    the next factor unless it is 1.  Free iff the set empties; moduli left
+    after the last factor are primes under which the whole selection is 0,
+    which lies on every line, so a single factor is never free.
+
+    Every c divides the content g of a pair of the first pivot, so the set
+    stays small: O(N^2 |moduli|) gcds at worst, O(N) when the first pivot's
+    pairs are primitive.
+    """
+    moduli = {0}
+    for i, (a, b, k, l) in enumerate(rows):
+        if not (a or k) or not (b or l):
+            continue
+        later = rows[i + 1:]
+        carried = set()
+        for x, y in ((a, k),) if a == b and k == l else ((a, k), (b, l)):
+            g = math.gcd(x, y)
+            x, y = x // g, y // g
+            for c in moduli:
+                h = c
+                for u, s, v, t in later:
+                    h = math.gcd(h, (x * v - y * u) * (x * t - y * s))
+                    if h == 1:
+                        break
+                else:
+                    return False  # h != 1: some p | h puts the selection on line(x, y)
+                c = math.gcd(c, g)
+                if c != 1:
+                    carried.add(c)
+        if not carried:
+            return True
+        moduli = carried
+    return False
 
 
 def is_free(act: TorusActionS3) -> bool:
-    """Freeness of the torus action via the gcd-of-minors criterion.
+    """Freeness of the torus action by the line-mod-p criterion of `_free_rows`.
 
-    A single factor has no minors at all, so the empty gcd convention
-    (gcd {} = 0) correctly reports that a rank-2 torus cannot act freely
-    on one sphere.
+    A rank-2 torus never acts freely on one sphere: a selection is then a
+    single pair, which spans rank 1 at most.
     """
     return _free_rows(act.rows)
 
@@ -156,14 +183,22 @@ def is_free_circle(act: CircleActionSpheres) -> bool:
     such selection has gcd 1.  An even-dimensional factor always has the
     fixed polar axis available, so it contributes no weight to selections
     (and a product of even spheres alone is never free).
+
+    The selections are not listed: the set of gcds of partial selections
+    other than 1 (which absorbs) is carried factor by factor, starting from
+    {0}.  Each gcd other than 0 divides a weight of the first odd factor
+    with a nonzero weight, so the set stays small; the action is free iff
+    it empties.
     """
     odd_factors = [w for dim, w in act.factors if dim % 2 == 1]
     if not odd_factors:
         return False
-    for selection in product(*odd_factors):
-        if gcd_all(selection) != 1:
-            return False
-    return True
+    gcds = {0}
+    for weights in odd_factors:
+        gcds = {g for s in gcds for w in weights if (g := math.gcd(s, w)) != 1}
+        if not gcds:
+            return True
+    return False
 
 
 # -- model differentials -----------------------------------------------------------

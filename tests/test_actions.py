@@ -1,11 +1,12 @@
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torquot import (
     CircleActionSpheres,
-    FreenessViolation,
     InputFormatError,
     PreconditionError,
     TorusActionS3,
@@ -24,8 +25,6 @@ from torquot.actions import (
 )
 
 from conftest import (
-    CP2_ROWS,
-    HOPF_ROWS,
     T1_ROWS,
     oracle_is_free,
     permuted,
@@ -70,6 +69,50 @@ def test_not_free_rank_deficient():
     assert not is_free(TorusActionS3(((1, 0, 0, 1),)))
 
 
+CONTENT_HEAVY = (0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6, 12, -12)
+
+
+def content_heavy_rows(rng: random.Random, n_factors: int):
+    """Rows with entries of large common content, repeated rows, zero pairs."""
+    rows = []
+    for _ in range(n_factors):
+        a, b, k, l = (rng.choice(CONTENT_HEAVY) for _ in range(4))
+        shape = rng.random()
+        if rows and shape < 0.15:
+            a, b, k, l = rng.choice(rows)
+        elif shape < 0.3:
+            a, k = 0, 0
+        elif shape < 0.4:
+            b, l = a, k
+        rows.append((a, b, k, l))
+    return tuple(rows)
+
+
+def carries_a_modulus(rows) -> bool:
+    """Does the freeness test carry a content g != 1 past its first pivot?
+
+    The first factor with no zero pair is the pivot.  It carries g on when
+    one of its pairs has content g > 1 and neither of its primitive pairs
+    v' has every later factor on line(v') mod some p.
+    """
+    for i, (a, b, k, l) in enumerate(rows):
+        pairs = {(a, k), (b, l)}
+        if (0, 0) in pairs:
+            continue
+        later = rows[i + 1:]
+
+        def on_no_line(x, y):
+            g = math.gcd(x, y)
+            x, y = x // g, y // g
+            return math.gcd(*[(x * k2 - y * a2) * (x * l2 - y * b2)
+                              for a2, b2, k2, l2 in later]) == 1
+
+        return any(math.gcd(*v) > 1 for v in pairs) and all(
+            on_no_line(*v) for v in pairs
+        )
+    return False
+
+
 def test_free_agrees_with_lattice_oracle():
     rng = random.Random(123)
     free = not_free = 0
@@ -80,6 +123,26 @@ def test_free_agrees_with_lattice_oracle():
         free += got
         not_free += not got
     assert free > 20 and not_free > 20  # both outcomes exercised
+
+    # entries sharing the factors 2 and 3 drive the zero-pair and moduli
+    # branches; count the actions decided after a modulus was carried on
+    carried = {True: 0, False: 0}
+    for _ in range(3000):
+        rows = content_heavy_rows(rng, rng.randint(1, 6))
+        got = is_free(TorusActionS3(rows))
+        assert got == oracle_is_free(rows), rows
+        if carries_a_modulus(rows):
+            carried[got] += 1
+    assert carried[True] > 20 and carried[False] > 20
+
+    # every N = 2, B = 1 action
+    verdicts = set()
+    for t in product(range(-1, 2), repeat=8):
+        rows = (t[:4], t[4:])
+        got = is_free(TorusActionS3(rows))
+        assert got == oracle_is_free(rows), rows
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @given(st.data())
@@ -112,6 +175,39 @@ def test_free_circle_even_factor_never_helps():
     assert not is_free_circle(CircleActionSpheres(((4, (1, 1)),)))
     assert is_free_circle(CircleActionSpheres(((4, (5, 7)), (3, (1, 1)))))
     assert not is_free_circle(CircleActionSpheres(((4, (1, 1)), (3, (2, 2)))))
+
+
+def oracle_is_free_circle(act: CircleActionSpheres) -> bool:
+    """Every selection of one weight per odd factor has gcd 1."""
+    odd = [w for dim, w in act.factors if dim % 2 == 1]
+    return bool(odd) and all(math.gcd(*sel) == 1 for sel in product(*odd))
+
+
+def test_free_circle_agrees_with_selection_oracle():
+    rng = random.Random(31)
+    weights = (0, 1, -1, 2, -2, 3, 4, 6, -6, 10, 12, 15)
+    verdicts = set()
+    for _ in range(2000):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            dim = rng.choice((2, 3, 4, 5, 7))
+            factors.append(
+                (dim, tuple(rng.choice(weights) for _ in range((dim + 1) // 2)))
+            )
+        act = CircleActionSpheres(tuple(factors))
+        got = is_free_circle(act)
+        assert got == oracle_is_free_circle(act), factors
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_free_circle_many_factors():
+    # a selection scan would try 3^31 selections; the partial gcds stay
+    # among 6, 10, 15, 2, 3, 5, so the last factor decides
+    wide = ((5, (6, 10, 15)),) * 30
+    assert is_free_circle(CircleActionSpheres(wide + ((5, (1, 1, 1)),)))
+    assert not is_free_circle(CircleActionSpheres(wide + ((5, (2, 4, 8)),)))
+    assert not is_free_circle(CircleActionSpheres(wide))
 
 
 def test_circle_weight_count_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from torquot import (
     BinaryQuadraticForm,
-    ClassificationViolation,
     FreenessViolation,
     HomotopyProfile,
     PreconditionError,

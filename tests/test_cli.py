@@ -284,3 +284,45 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["isomorphic"] is True
+
+
+# CP2 fixture extended to n factors by factors whose forms lie in its pencil
+# <s1^2 - s2^2, s1 s2>, placed first so that the first factor's pairs have
+# contents 2 and 3; every added factor has two distinct exponent pairs, so
+# trying every selection would take 2^(n-1) of them
+PENCIL_FACTORS = ((2, 0, 0, 3), (1, 0, 0, 1), (1, -1, 1, 1), (1, 1, 1, -1))
+
+
+def wide_action_file(tmp_path, n):
+    rows = tuple(PENCIL_FACTORS[i % 4] for i in range(n - 3)) + CP2_ROWS
+    path = tmp_path / f"wide{n}.json"
+    path.write_text(format_action(TorusActionS3(rows)))
+    return str(path)
+
+
+def run_module(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "torquot", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_free_check_many_factors_finishes(tmp_path, n):
+    record = run_module("free-check", wide_action_file(tmp_path, n))
+    assert record == {"n_factors": n, "effective": True, "free": True}
+
+
+def test_classify_and_normalize_many_factors_finish(tmp_path):
+    path = wide_action_file(tmp_path, 40)
+    record = run_module("classify", path)
+    assert record["kind"] == "CP2_CONNSUM_PRODUCT"
+    assert record["trailing_s3"] == 38 and record["violations"] == []
+    record = run_module("normalize", path)
+    (a1, b1, k1, l1), (_, _, k2, l2) = record["rows"][:2]
+    assert len(record["rows"]) == 40
+    assert a1 != 0 and k1 == 0 and (b1, l1) != (0, 0) and k2 * l2 != 0
