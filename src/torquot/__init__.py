@@ -48,7 +48,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     det2,
-    gcd_all,
     is_rational_square,
     unimodular_complement,
 )

@@ -28,7 +28,7 @@ from .errors import (
     InputFormatError,
     PreconditionError,
 )
-from .exact import IntMatrix, unimodular_complement
+from .exact import IntMatrix, int_tuple, unimodular_complement
 from .quadforms import BinaryQuadraticForm
 
 Row = tuple[int, int, int, int]
@@ -43,7 +43,7 @@ class TorusActionS3:
     def __post_init__(self):
         if len(self.rows) < 1:
             raise PreconditionError("need at least one sphere factor")
-        clean = tuple(tuple(int(v) for v in row) for row in self.rows)
+        clean = tuple(int_tuple(row, "weight") for row in self.rows)
         if any(len(r) != 4 for r in clean):
             raise PreconditionError("each row must be a quadruple (a, b, k, l)")
         object.__setattr__(self, "rows", clean)
@@ -64,11 +64,11 @@ class CircleActionSpheres:
             raise PreconditionError("need at least one sphere factor")
         clean = []
         for dim, weights in self.factors:
-            dim = int(dim)
+            int_tuple((dim,), "sphere dimension")
             if dim < 2:
                 raise PreconditionError(f"sphere dimension {dim} < 2")
             m = (dim + 1) // 2
-            w = tuple(int(x) for x in weights)
+            w = int_tuple(weights, "weight")
             if len(w) != m:
                 raise PreconditionError(
                     f"S^{dim} carries {m} weights, got {len(w)}"
@@ -204,12 +204,14 @@ def is_free_circle(act: CircleActionSpheres) -> bool:
 # -- model differentials -----------------------------------------------------------
 
 
+def _forms(rows: Sequence[Row]) -> list[BinaryQuadraticForm]:
+    """Quadratic form (a s1 + k s2)(b s1 + l s2) contributed by each row."""
+    return [BinaryQuadraticForm(a * b, a * l + b * k, k * l) for (a, b, k, l) in rows]
+
+
 def differential_rows(act: TorusActionS3) -> list[BinaryQuadraticForm]:
     """Quadratic form (a s1 + k s2)(b s1 + l s2) contributed by each factor."""
-    return [
-        BinaryQuadraticForm(a * b, a * l + b * k, k * l)
-        for (a, b, k, l) in act.rows
-    ]
+    return _forms(act.rows)
 
 
 def circle_euler_data(act: CircleActionSpheres) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -248,28 +250,11 @@ def _transform_rows(rows: Sequence[Row], m: int, n: int, r: int, s: int) -> tupl
     return tuple(out)
 
 
-def normalize(act: TorusActionS3) -> NormalizedActionS3:
-    """Bring a free, effective action to the a1 != 0, k1 = 0, k2*l2 != 0 form.
-
-    Steps: (i) swap the lowest-index factor with a_i*b_i != 0 into slot 1,
-    (ii) reparametrize the torus so the first exponent pair becomes
-    (gcd(a1, k1), 0), (iii) swap the lowest-index remaining factor with
-    k_i*l_i != 0 into slot 2.  Each step exists for free actions; failure to
-    find a qualifying factor certifies non-freeness.
-
-    The returned witness carries the factor permutation and the
-    determinant-1 reparametrization; the transformed action is re-checked to
-    be effective and free, and its differential rows are checked to be the
-    original ones up to the induced invertible substitution of (s1, s2).
-    A failed re-check raises ClassificationViolation.
-    """
-    if not is_effective(act):
-        raise PreconditionError("normalize requires an effective action")
-    if not is_free(act):
-        raise PreconditionError("normalize requires a free action")
-    rows = list(act.rows)
-    n_factors = len(rows)
-    perm = list(range(n_factors))
+def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ...], IntMatrix]:
+    """`normalize` on rows the caller knows to be effective and free: returns
+    (normalized rows, permutation, reparametrization), postconditions checked."""
+    original, rows = rows, list(rows)
+    perm = list(range(len(rows)))
 
     slot1 = next((i for i, (a, b, _, _) in enumerate(rows) if a * b != 0), None)
     if slot1 is None:
@@ -289,7 +274,7 @@ def normalize(act: TorusActionS3) -> NormalizedActionS3:
         raise ClassificationViolation(
             f"reparametrization took the first pair ({a1}, {k1}) to "
             f"({new_rows[0][0]}, {new_rows[0][2]}), not ({d}, 0)",
-            witness=act.rows,
+            witness=original,
         )
 
     slot2 = next(
@@ -304,26 +289,47 @@ def normalize(act: TorusActionS3) -> NormalizedActionS3:
     if slot2 != 1:
         new_rows[1], new_rows[slot2] = new_rows[slot2], new_rows[1]
         perm[1], perm[slot2] = perm[slot2], perm[1]
-
-    normalized = TorusActionS3(tuple(new_rows))
-    witness = NormalizationWitness(tuple(perm), reparam)
+    new_rows = tuple(new_rows)
 
     # postconditions: orbits unchanged means effectiveness/freeness survive,
     # and the relation pencil is carried by the substitution s -> M s; the
-    # input passed both checks above, so a failure here falsifies the
+    # input is effective and free, so a failure here falsifies the
     # normalization itself
-    if not is_effective(normalized) or not is_free(normalized):
+    if not _effective_rows(new_rows) or not _free_rows(new_rows):
         raise ClassificationViolation(
-            "normalization destroyed effectiveness/freeness", witness=act.rows
+            "normalization destroyed effectiveness/freeness", witness=original
         )
-    old_forms = differential_rows(act)
-    new_forms = differential_rows(normalized)
+    old_forms = _forms(original)
+    new_forms = _forms(new_rows)
     for i, p in enumerate(perm):
         if new_forms[i].substituted(m, n, r, s) != old_forms[p]:
             raise ClassificationViolation(
-                "normalization broke the differential pencil", witness=act.rows
+                "normalization broke the differential pencil", witness=original
             )
-    return NormalizedActionS3(normalized, witness)
+    return new_rows, tuple(perm), reparam
+
+
+def normalize(act: TorusActionS3) -> NormalizedActionS3:
+    """Bring a free, effective action to the a1 != 0, k1 = 0, k2*l2 != 0 form.
+
+    Steps: (i) swap the lowest-index factor with a_i*b_i != 0 into slot 1,
+    (ii) reparametrize the torus so the first exponent pair becomes
+    (gcd(a1, k1), 0), (iii) swap the lowest-index remaining factor with
+    k_i*l_i != 0 into slot 2.  Each step exists for free actions; failure to
+    find a qualifying factor certifies non-freeness.
+
+    The returned witness carries the factor permutation and the
+    determinant-1 reparametrization; the transformed action is re-checked to
+    be effective and free, and its differential rows are checked to be the
+    original ones up to the induced invertible substitution of (s1, s2).
+    A failed re-check raises ClassificationViolation.
+    """
+    if not is_effective(act):
+        raise PreconditionError("normalize requires an effective action")
+    if not is_free(act):
+        raise PreconditionError("normalize requires a free action")
+    rows, perm, reparam = _normalize_rows(act.rows)
+    return NormalizedActionS3(TorusActionS3(rows), NormalizationWitness(perm, reparam))
 
 
 # -- file formats ------------------------------------------------------------------

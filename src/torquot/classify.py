@@ -31,15 +31,17 @@ from typing import Sequence
 
 from .actions import (
     NormalizedActionS3,
+    Row,
     TorusActionS3,
+    _forms,
+    _normalize_rows,
     differential_rows,
     is_effective,
     is_free,
-    normalize,
 )
 from .cdga import FreeCDGA, Generator, HomotopyProfile, Monomial, Polynomial, check_elliptic_constraints
 from .errors import ClassificationViolation, FreenessViolation, PreconditionError
-from .exact import IntMatrix, det2, exact_quotient, is_rational_square, rank_int_rows
+from .exact import IntMatrix, det2, is_rational_square, rank_int_rows
 from .quadforms import BinaryQuadraticForm
 
 S2XS2_PRODUCT = "S2xS2_PRODUCT"
@@ -316,11 +318,11 @@ class SubstitutionWitness:
 
     s_map rows give s~i in the s basis, x_map rows give x~i in the x basis;
     verified on construction by re-expanding the transformed differentials.
-    Entries are ints wherever they are integral, Fractions elsewhere.
+    Entries are ints: the witness is scaled so that no division is needed.
     """
 
-    s_map: tuple[tuple, tuple]
-    x_map: tuple[tuple, tuple]
+    s_map: tuple[tuple[int, int], tuple[int, int]]
+    x_map: tuple[tuple[int, int], tuple[int, int]]
 
 
 def _square_of_linear(p, q) -> BinaryQuadraticForm:
@@ -334,19 +336,19 @@ def lemma64_substitution(
 
     Accepts either d1 = alpha*s1^2, d2 = beta*s1*s2 + gamma*s2^2 with
     alpha, gamma != 0, or the special pair d1 = s1*s2, d2 = s1^2 + s2^2.
-    The returned substitution is verified exactly: applying x_map to
-    (d1, d2) must reproduce the squares of the s_map rows.
+    In the first position the witness is scaled by alpha (and beta, gamma) so
+    that it needs no division and stays integral.  The returned substitution
+    is verified exactly: applying x_map to (d1, d2) must reproduce the
+    squares of the s_map rows.
     """
     if d1.B == 0 and d1.C == 0 and d1.A != 0 and d2.A == 0 and d2.C != 0:
         alpha, beta, gamma = d1.A, d2.B, d2.C
         if beta == 0:
-            s_map = ((1, 0), (0, 1))
-            x_map = ((exact_quotient(1, alpha), 0), (0, exact_quotient(1, gamma)))
+            s_map = x_map = ((alpha, 0), (0, gamma))
         else:
-            p = exact_quotient(beta, 2 * gamma)
-            c = exact_quotient(beta * beta, 4 * alpha * gamma * gamma)
-            s_map = ((p, 0), (p, 1))
-            x_map = ((c, 0), (c, exact_quotient(1, gamma)))
+            p, c = alpha * beta, alpha * beta * beta
+            s_map = ((p, 0), (p, 2 * alpha * gamma))
+            x_map = ((c, 0), (c, 4 * alpha * alpha * gamma))
     elif d1.coefficients() == (0, 1, 0) and d2.coefficients() == (1, 0, 1):
         s_map = ((1, -1), (1, 1))
         x_map = ((-2, 1), (2, 1))
@@ -374,14 +376,14 @@ def lemma64_substitution(
 # -- the epsilon invariant -------------------------------------------------------------
 
 
-def _reduced_first_pair(norm: NormalizedActionS3) -> tuple[int, int]:
-    """(b1, l1) of the normalized action divided by their gcd.
+def _reduced_first_pair(rows: Sequence[Row]) -> tuple[int, int]:
+    """(b1, l1) of normalized rows divided by their gcd.
 
     This is the model-level rescale of the first generator: it divides the
     whole first relation row, and it preserves the freeness condition (every
     minor against the first row is divisible by the gcd being removed).
     """
-    _, b1, _, l1 = norm.action.rows[0]
+    _, b1, _, l1 = rows[0]
     g = math.gcd(b1, l1)
     return b1 // g, l1 // g
 
@@ -392,31 +394,15 @@ def eq63_matrix(norm: NormalizedActionS3) -> IntMatrix:
     Column 0 is the gcd-reduced first row (b1, l1, 0); column j >= 1 is
     (a_j*b_j, a_j*l_j + b_j*k_j, k_j*l_j).
     """
-    bh, lh = _reduced_first_pair(norm)
+    bh, lh = _reduced_first_pair(norm.action.rows)
     cols = [(bh, lh, 0)]
     for (a, b, k, l) in norm.action.rows[1:]:
         cols.append((a * b, a * l + b * k, k * l))
     return IntMatrix.from_rows([[col[i] for col in cols] for i in range(3)])
 
 
-def epsilon_invariant(norm: NormalizedActionS3) -> int:
-    """The sign epsilon in {+1, -1} attached to a rank-2 relation pencil.
-
-    Requires the normalized form with l1 != 0 after the gcd reduction of
-    (b1, l1), and relation rank exactly 2.  Defined by
-
-        det[[b1, a2], [l1, k2]] * det[[b1, b2], [l1, l2]] = epsilon * k2 * l2
-
-    and the same identity is asserted for every factor j >= 2; any failure,
-    or epsilon outside {+1, -1}, is a ClassificationViolation (it would
-    contradict the rank-2 classification).
-    """
-    bh, lh = _reduced_first_pair(norm)
-    if lh == 0:
-        raise PreconditionError("epsilon is defined only when l1 != 0")
-    if rank_int_rows(eq63_matrix(norm).to_lists()) != 2:
-        raise PreconditionError("epsilon is defined only for rank-2 pencils")
-    rows = norm.action.rows
+def _epsilon(rows: Sequence[Row], bh: int, lh: int) -> int:
+    """epsilon of normalized rows whose reduced first pair is (bh, lh != 0)."""
     sides = [
         (det2(bh, aj, lh, kj) * det2(bh, bj, lh, lj), kj * lj)
         for (aj, bj, kj, lj) in rows[1:]
@@ -438,6 +424,26 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
                 stage="epsilon",
             )
     return eps
+
+
+def epsilon_invariant(norm: NormalizedActionS3) -> int:
+    """The sign epsilon in {+1, -1} attached to a rank-2 relation pencil.
+
+    Requires the normalized form with l1 != 0 after the gcd reduction of
+    (b1, l1), and relation rank exactly 2.  Defined by
+
+        det[[b1, a2], [l1, k2]] * det[[b1, b2], [l1, l2]] = epsilon * k2 * l2
+
+    and the same identity is asserted for every factor j >= 2; any failure,
+    or epsilon outside {+1, -1}, is a ClassificationViolation (it would
+    contradict the rank-2 classification).
+    """
+    bh, lh = _reduced_first_pair(norm.action.rows)
+    if lh == 0:
+        raise PreconditionError("epsilon is defined only when l1 != 0")
+    if rank_int_rows(eq63_matrix(norm).to_lists()) != 2:
+        raise PreconditionError("epsilon is defined only for rank-2 pencils")
+    return _epsilon(norm.action.rows, bh, lh)
 
 
 # -- the three-type classifier ------------------------------------------------------
@@ -531,32 +537,68 @@ def _quotient_square_form(forms: Sequence[BinaryQuadraticForm]) -> BinaryQuadrat
     return BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
 
 
-def _proof_path_kind(act: TorusActionS3) -> tuple[str, int | None]:
-    """Classify a rank-2 instance along the normalization/epsilon route."""
-    norm = normalize(act)
-    rows = norm.action.rows
-    bh, lh = _reduced_first_pair(norm)
+def _proof_path_kind(rows: Sequence[Row]) -> tuple[str, int | None]:
+    """Classify effective, free rank-2 rows along the normalization/epsilon route."""
+    norm_rows, _, _ = _normalize_rows(rows)
+    bh, lh = _reduced_first_pair(norm_rows)
     if lh == 0:
         # gcd-reduced (b1, 0) forces b1 = +-1; kill the s1^2 part of row 2 and
         # land in the first normal position of the substitution lemma
         if abs(bh) != 1:
             raise ClassificationViolation(
                 f"gcd-reduced first pair ({bh}, 0) is not a unit vector",
-                witness=act.rows,
+                witness=rows,
             )
-        a2, b2, k2, l2 = rows[1]
+        a2, b2, k2, l2 = norm_rows[1]
         d1 = BinaryQuadraticForm(bh, 0, 0)
         d2 = BinaryQuadraticForm(0, a2 * l2 + b2 * k2, k2 * l2)
         lemma64_substitution(d1, d2)
         return S2XS2_PRODUCT, None
-    eps = epsilon_invariant(norm)
+    eps = _epsilon(norm_rows, bh, lh)
     if eps == 1:
         # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2: the special rewrite applies
-        lemma64_substitution(
-            BinaryQuadraticForm(0, 1, 0), BinaryQuadraticForm(1, 0, 1)
-        )
+        lemma64_substitution(BinaryQuadraticForm(0, 1, 0), BinaryQuadraticForm(1, 0, 1))
         return S2XS2_PRODUCT, eps
     return CP2_CONNSUM_PRODUCT, eps
+
+
+def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
+    """The classification of at least two rows already known effective and free.
+
+    Campaigns call this on rows their filter passed; `classify_t2_quotient`
+    calls it after its own checks.
+    """
+    forms = tuple(_forms(rows))
+    rank = rank_int_rows([f.coefficients() for f in forms])
+    if rank <= 1:
+        raise ClassificationViolation(
+            f"relation pencil has rank {rank} < 2 for a free action",
+            witness=rows,
+        )
+    if rank == 3:
+        return ClassificationResult(T1_S2XS2_PRODUCT, len(rows) - 3, 3, None, forms, len(rows))
+
+    q = _quotient_square_form(forms)
+    disc = q.discriminant
+    if disc == 0:
+        raise ClassificationViolation(f"quotient square map {q} is degenerate", witness=rows)
+    if is_rational_square(disc):
+        kind = S2XS2_PRODUCT
+    elif is_rational_square(-disc):
+        kind = CP2_CONNSUM_PRODUCT
+    else:
+        raise ClassificationViolation(
+            f"anisotropic square map {q} with discriminant {disc} outside "
+            "both admissible square classes",
+            witness=rows,
+        )
+    proof_kind, eps = _proof_path_kind(rows)
+    if proof_kind != kind:
+        raise ClassificationViolation(
+            f"invariant method says {kind}, proof path says {proof_kind}",
+            witness=rows,
+        )
+    return ClassificationResult(kind, len(rows) - 2, 2, eps, forms, len(rows))
 
 
 def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
@@ -575,41 +617,7 @@ def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
         raise PreconditionError("action is not effective")
     if not is_free(act):
         raise PreconditionError("action is not free")
-    forms = tuple(differential_rows(act))
-    rank = rank_int_rows([f.coefficients() for f in forms])
-    if rank <= 1:
-        raise ClassificationViolation(
-            f"relation pencil has rank {rank} < 2 for a free action",
-            witness=act.rows,
-        )
-    if rank == 3:
-        return ClassificationResult(
-            T1_S2XS2_PRODUCT, act.n_factors - 3, 3, None, forms, act.n_factors
-        )
-
-    q = _quotient_square_form(forms)
-    disc = q.discriminant
-    if disc == 0:
-        raise ClassificationViolation(
-            f"quotient square map {q} is degenerate", witness=act.rows
-        )
-    if is_rational_square(disc):
-        kind = S2XS2_PRODUCT
-    elif is_rational_square(-disc):
-        kind = CP2_CONNSUM_PRODUCT
-    else:
-        raise ClassificationViolation(
-            f"anisotropic square map {q} with discriminant {disc} outside "
-            "both admissible square classes",
-            witness=act.rows,
-        )
-    proof_kind, eps = _proof_path_kind(act)
-    if proof_kind != kind:
-        raise ClassificationViolation(
-            f"invariant method says {kind}, proof path says {proof_kind}",
-            witness=act.rows,
-        )
-    return ClassificationResult(kind, act.n_factors - 2, 2, eps, forms, act.n_factors)
+    return _classify_free_rows(act.rows)
 
 
 # -- circle quotients of S^5 x prod S^3 ----------------------------------------------

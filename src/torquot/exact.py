@@ -13,24 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ClassificationViolation, PreconditionError
 
 
-def gcd_all(values: Iterable[int]) -> int:
-    """Nonnegative gcd of an arbitrary collection of integers.
-
-    The gcd of an empty collection, and of an all-zero one, is 0 by
-    convention; freeness tests of the form ``gcd == 1`` then fail naturally
-    on degenerate weight data.
-    """
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; a bool, float, Fraction or str is refused."""
+    out = tuple(values)
+    for v in out:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise PreconditionError(f"{what}: expected integer, got {v!r}")
+    return out
 
 
 def det2(a: int, b: int, c: int, d: int) -> int:
@@ -59,8 +53,8 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise PreconditionError("ragged rows")
-            flat.extend(int(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
+            flat.extend(r)
+        return cls(nrows, ncols, int_tuple(flat, "IntMatrix entry"))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -131,15 +125,13 @@ def unimodular_complement(m: int, n: int) -> IntMatrix:
     # extended Euclid: x*m + y*n == 1, so s0 = x, r0 = -y
     x, y = _bezout(m, n)
     r0, s0 = -y, x
-    candidates = []
     if m != 0:
-        t0 = round(Fraction(-r0, m))
+        t0 = -r0 // m  # floor(-r0/m); the minimiser is it or its ceiling
         candidates = [(r0 + t * m, s0 + t * n) for t in range(t0 - 2, t0 + 3)]
     else:
         # r is pinned by -n*r == 1; s is free, smallest |s| is 0
         candidates = [(r0, 0)]
-    best = min(candidates, key=lambda rs: (abs(rs[0]), abs(rs[1])))
-    r, s = best
+    r, s = min(candidates, key=lambda rs: (abs(rs[0]), abs(rs[1])))
     if m * s - n * r != 1:
         raise ClassificationViolation(f"unimodular complement of ({m}, {n}) failed", witness=(m, n))
     return IntMatrix.from_rows([[m, n], [r, s]])
@@ -157,12 +149,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     if r0 < 0:
         x0, y0 = -x0, -y0
     return x0, y0
-
-
-def exact_quotient(num, den):
-    """num / den, as an int when den divides num and as a Fraction otherwise."""
-    q, r = divmod(num, den)
-    return q if r == 0 else Fraction(num, den)
 
 
 def is_perfect_square(n: int) -> bool:

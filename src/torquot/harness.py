@@ -23,11 +23,11 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .actions import TorusActionS3, _effective_rows, _free_rows
+from .actions import _effective_rows, _free_rows
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
-    classify_t2_quotient,
+    _classify_free_rows,
     enumerate_profiles,
     max_effective_rank,
 )
@@ -120,7 +120,7 @@ class CampaignReport:
 
 def _classify_rows(rows, tally, witnesses):
     try:
-        result = classify_t2_quotient(TorusActionS3(rows))
+        result = _classify_free_rows(rows)
     except ClassificationViolation as exc:
         tally["violations"] += 1
         witnesses.append(

@@ -6,9 +6,9 @@ read off the span of those forms together with the square class of the
 discriminant of the induced square map.
 
 Coefficients are stored as given.  Forms built from weight rows hold Python
-ints, and every operation here keeps them ints, so the classifier never
-leaves integer arithmetic; a Fraction coefficient is carried through
-unchanged where a caller supplies one.
+ints, and every operation here keeps them ints, so the classifier and the
+lemma-6.4 rewrite never leave integer arithmetic; only the reduced echelon
+basis of an output record holds Fraction coefficients.
 """
 
 from __future__ import annotations

@@ -136,6 +136,22 @@ def test_criterion_3_epsilon_identity(exhaustive_cli, random_report):
     )
 
 
+def test_branch_census_exhaustive(exhaustive_cli):
+    # proof-path branches of the N=3, B=1 grid, read off the report: rank 3
+    # is the T1 kind, epsilon = -1 the CP2 kind, epsilon = +1 the other
+    # epsilon checks, and l1 = 0 the rest of the S2xS2 kind
+    _, record, _ = exhaustive_cli
+    kinds, checked = record["totals"]["kinds"], record["epsilon_checks"]["checked"]
+    eps_plus = checked - kinds["CP2_CONNSUM_PRODUCT"]
+    census = (
+        kinds["T1_S2xS2_PRODUCT"],
+        kinds["S2xS2_PRODUCT"] - eps_plus,
+        eps_plus,
+        kinds["CP2_CONNSUM_PRODUCT"],
+    )
+    assert census == (100_608, 31_040, 15_904, 9_600)
+
+
 def _stratified_actions(quota_per_kind: dict) -> list:
     """Deterministic scan of the B=1 grid until each kind's quota is filled."""
     vals = (-1, 0, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -215,6 +216,25 @@ def test_circle_weight_count_validation():
         CircleActionSpheres(((5, (1, 1)),))
     with pytest.raises(PreconditionError):
         CircleActionSpheres(((3, (1, 1, 1)),))
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.9, 2.0, True, Fraction(1, 2), Fraction(2), "1"])
+def test_actions_reject_non_integer_entries(entry):
+    # a non-integer weight is refused, never truncated: (1.5, 1, 0, 0) must
+    # not classify as the Hopf factor (1, 1, 0, 0)
+    with pytest.raises(PreconditionError):
+        TorusActionS3(((entry, 1, 0, 0), (0, 0, 1, 1)))
+    with pytest.raises(PreconditionError):
+        CircleActionSpheres(((3, (entry, 1)),))
+    with pytest.raises(PreconditionError):
+        CircleActionSpheres(((entry, (1,)),))
+
+
+def test_actions_keep_integer_entries_as_tuples():
+    act = TorusActionS3([[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert act.rows == ((1, 1, 0, 0), (0, 0, 1, 1))
+    circle = CircleActionSpheres([(5, [1, 1, 1]), (3, [1, -1])])
+    assert circle.factors == ((5, (1, 1, 1)), (3, (1, -1)))
 
 
 # -- differential rows ----------------------------------------------------------------

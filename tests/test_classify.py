@@ -243,18 +243,23 @@ def test_epsilon_matches_kind_on_samples():
 # -- the substitution lemma ----------------------------------------------------------------
 
 
+def _all_int(w) -> bool:
+    return all(type(v) is int for row in w.s_map + w.x_map for v in row)
+
+
 def test_lemma64_diagonal_case():
     w = lemma64_substitution(
         BinaryQuadraticForm(1, 0, 0), BinaryQuadraticForm(0, 0, 1)
     )
     assert w.s_map == ((1, 0), (0, 1))
     assert w.x_map == ((1, 0), (0, 1))
-    # alpha = -1: 1/alpha is integral, so the map stays on ints
+    # beta = 0: s~i and x~i are alpha, gamma times s_i and x_i
     w = lemma64_substitution(
         BinaryQuadraticForm(-1, 0, 0), BinaryQuadraticForm(0, 0, 2)
     )
-    assert w.x_map == ((-1, 0), (0, Fraction(1, 2)))
-    assert type(w.x_map[0][0]) is int
+    assert w.s_map == ((-1, 0), (0, 2))
+    assert w.x_map == ((-1, 0), (0, 2))
+    assert _all_int(w)
 
 
 def test_lemma64_generic_case():
@@ -262,8 +267,22 @@ def test_lemma64_generic_case():
     w = lemma64_substitution(
         BinaryQuadraticForm(2, 0, 0), BinaryQuadraticForm(0, 3, 1)
     )
-    assert w.s_map == ((Fraction(3, 2), 0), (Fraction(3, 2), 1))
-    assert w.x_map == ((Fraction(9, 8), 0), (Fraction(9, 8), 1))
+    assert w.s_map == ((6, 0), (6, 4))
+    assert w.x_map == ((18, 0), (18, 16))
+    assert _all_int(w)
+
+
+def test_lemma64_integer_witness_sweep():
+    # every call re-expands its witness and raises on a mismatch
+    for alpha in range(-6, 7):
+        for gamma in range(-6, 7):
+            if alpha == 0 or gamma == 0:
+                continue
+            for beta in range(-9, 10):
+                w = lemma64_substitution(
+                    BinaryQuadraticForm(alpha, 0, 0), BinaryQuadraticForm(0, beta, gamma)
+                )
+                assert _all_int(w)
 
 
 def test_lemma64_special_case():
@@ -272,7 +291,7 @@ def test_lemma64_special_case():
     )
     assert w.s_map == ((1, -1), (1, 1))
     assert w.x_map == ((-2, 1), (2, 1))
-    assert all(type(v) is int for row in w.s_map + w.x_map for v in row)
+    assert _all_int(w)
 
 
 def test_lemma64_rejects_other_pencils():

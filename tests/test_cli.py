@@ -199,10 +199,10 @@ def test_verify_t2_random_needs_seed(capsys):
 def test_verify_t2_violation_exit_code(capsys, monkeypatch):
     import torquot.harness as harness
 
-    def explode(act):
-        raise ClassificationViolation("forced", witness=act.rows)
+    def explode(rows):
+        raise ClassificationViolation("forced", witness=rows)
 
-    monkeypatch.setattr(harness, "classify_t2_quotient", explode)
+    monkeypatch.setattr(harness, "_classify_free_rows", explode)
     code, out = run_cli(
         capsys,
         "verify-t2", "--factors", "2", "--bound", "1",

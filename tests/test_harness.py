@@ -106,14 +106,14 @@ def test_violation_witnesses_recorded(monkeypatch):
     # force violations for one specific action to exercise the reporting path
     target = ((1, 1, 0, 0), (0, 0, 1, 1))
 
-    def fake_classify(act):
-        if act.rows == target:
+    def fake_classify(rows):
+        if rows == target:
             raise ClassificationViolation(
-                "epsilon identity fails (forced)", witness=act.rows, stage="epsilon"
+                "epsilon identity fails (forced)", witness=rows, stage="epsilon"
             )
-        return classify_t2_quotient(act)
+        return classify._classify_free_rows(rows)
 
-    monkeypatch.setattr(harness, "classify_t2_quotient", fake_classify)
+    monkeypatch.setattr(harness, "_classify_free_rows", fake_classify)
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
     assert report.totals["violations"] == 1
     [witness] = report.violation_witnesses
@@ -123,16 +123,16 @@ def test_violation_witnesses_recorded(monkeypatch):
     # the recorded witness reproduces the violation through the same classifier
     refed = TorusActionS3(tuple(tuple(r) for r in witness["rows"]))
     with pytest.raises(ClassificationViolation):
-        fake_classify(refed)
+        fake_classify(refed.rows)
     # and the genuine classifier handles the rows cleanly (the theorem holds)
     assert classify_t2_quotient(refed).kind == "S2xS2_PRODUCT"
 
 
 def test_witnesses_sorted_canonically(monkeypatch):
-    def fake_classify(act):
-        raise ClassificationViolation("forced", witness=act.rows)
+    def fake_classify(rows):
+        raise ClassificationViolation("forced", witness=rows)
 
-    monkeypatch.setattr(harness, "classify_t2_quotient", fake_classify)
+    monkeypatch.setattr(harness, "_classify_free_rows", fake_classify)
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
     rows_lists = [w["rows"] for w in report.violation_witnesses]
     assert rows_lists == sorted(rows_lists)
@@ -192,6 +192,50 @@ def test_campaigns_never_build_the_pencil(monkeypatch):
     assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
 
 
+def test_campaigns_build_no_fraction(monkeypatch):
+    # lemma 6.4 and the unimodular complement run on ints: a campaign that
+    # built a Fraction would hit the stand-in and abort
+    grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
+    expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
+    assert expected[1]["totals"]["free"] > 0
+
+    class NoFraction:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a campaign built a Fraction")
+
+    monkeypatch.setattr(classify, "Fraction", NoFraction)
+    monkeypatch.setattr(exact, "Fraction", NoFraction)
+    assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_campaign_filters_each_action_once(monkeypatch):
+    # the scanner's filter is the only precondition test; the one call per
+    # rank-2 action seen here is normalization's postcondition, and a rank-3
+    # action never reaches normalization
+    free_calls = _count_calls(monkeypatch, actions, "_free_rows")
+    effective_calls = _count_calls(monkeypatch, actions, "_effective_rows")
+    for grid in (GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)):
+        free_calls.clear()
+        effective_calls.clear()
+        totals = run_t2_campaign(grid, jobs=1).totals
+        rank2 = totals["free"] - totals["kinds"]["T1_S2xS2_PRODUCT"]
+        assert rank2 > 0 and totals["violations"] == 0
+        assert len(free_calls) == len(effective_calls) == rank2
+    assert totals["kinds"]["T1_S2xS2_PRODUCT"] > 0
+
+
 # -- fault injection on the proof path -------------------------------------------------
 #
 # Each fake corrupts one row (or one form) of a step inside normalization or
@@ -200,7 +244,7 @@ def test_campaigns_never_build_the_pencil(monkeypatch):
 
 FAULT_ROWS = ((1, 1, 1, 0), (0, 0, 1, 1))  # free, rank 2, k1 != 0 before normalizing
 _transform_rows = actions._transform_rows
-_differential_rows = actions.differential_rows
+_forms = actions._forms
 
 
 def _shift_first_pair(rows, m, n, r, s):
@@ -216,8 +260,8 @@ def _double_second_row(rows, m, n, r, s):
     return tuple(out)
 
 
-def _bump_first_form(act):
-    forms = _differential_rows(act)
+def _bump_first_form(rows):
+    forms = _forms(rows)
     f = forms[0]
     forms[0] = BinaryQuadraticForm(f.A + 1, f.B, f.C)
     return forms
@@ -231,10 +275,10 @@ FAULTS = {
         actions, "_transform_rows", _double_second_row, "destroyed effectiveness/freeness"
     ),
     "pencil postcondition": (
-        actions, "differential_rows", _bump_first_form, "broke the differential pencil"
+        actions, "_forms", _bump_first_form, "broke the differential pencil"
     ),
     "unit first pair": (
-        classify, "_reduced_first_pair", lambda norm: (2, 0), "is not a unit vector"
+        classify, "_reduced_first_pair", lambda rows: (2, 0), "is not a unit vector"
     ),
 }
 
