@@ -46,7 +46,6 @@ from .errors import (
     PreconditionError,
 )
 from .exact import (
-    IntMatrix,
     det2,
     is_rational_square,
     unimodular_complement,

@@ -28,7 +28,7 @@ from .errors import (
     InputFormatError,
     PreconditionError,
 )
-from .exact import IntMatrix, int_tuple, unimodular_complement
+from .exact import Matrix2, int_tuple, unimodular_complement
 from .quadforms import BinaryQuadraticForm
 
 Row = tuple[int, int, int, int]
@@ -82,7 +82,7 @@ class NormalizationWitness:
     """Record of the moves applied: transformed_rows[i] = reparam(rows[perm[i]])."""
 
     permutation: tuple[int, ...]
-    reparam: IntMatrix  # determinant-1 matrix [[m, n], [r, s]]
+    reparam: Matrix2  # determinant 1
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def _transform_rows(rows: Sequence[Row], m: int, n: int, r: int, s: int) -> tupl
     return tuple(out)
 
 
-def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ...], IntMatrix]:
+def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ...], Matrix2]:
     """`normalize` on rows the caller knows to be effective and free: returns
     (normalized rows, permutation, reparametrization), postconditions checked."""
     original, rows = rows, list(rows)
@@ -268,7 +268,7 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
     a1, _, k1, _ = rows[0]
     d = math.gcd(a1, k1)
     reparam = unimodular_complement(a1 // d, k1 // d)
-    (m, n), (r, s) = reparam.row(0), reparam.row(1)
+    (m, n), (r, s) = reparam
     new_rows = list(_transform_rows(rows, m, n, r, s))
     if new_rows[0][0] != d or new_rows[0][2] != 0:
         raise ClassificationViolation(

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, PreconditionError
-from .exact import rank_int_rows
+from .exact import parse_rational, rank_int_rows
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -513,13 +513,6 @@ def format_model(a: FreeCDGA) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_fraction(tok: str, where: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"{where}: bad rational {tok!r}") from exc
-
-
 def parse_polynomial(text: str, name_to_index: Mapping[str, int], where: str = "poly") -> Polynomial:
     text = text.strip()
     if text == "0":
@@ -529,7 +522,7 @@ def parse_polynomial(text: str, name_to_index: Mapping[str, int], where: str = "
         bits = chunk.strip().split()
         if len(bits) != 2:
             raise InputFormatError(f"{where}: term {chunk!r} is not '<coeff> <monomial>'")
-        coeff = _parse_fraction(bits[0], where)
+        coeff = parse_rational(bits[0], where)
         if bits[1] == "1":
             mono = UNIT
         else:

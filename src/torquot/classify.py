@@ -41,7 +41,7 @@ from .actions import (
 )
 from .cdga import FreeCDGA, Generator, HomotopyProfile, Monomial, Polynomial, check_elliptic_constraints
 from .errors import ClassificationViolation, FreenessViolation, PreconditionError
-from .exact import IntMatrix, det2, is_rational_square, rank_int_rows
+from .exact import det2, is_rational_square
 from .quadforms import BinaryQuadraticForm
 
 S2XS2_PRODUCT = "S2xS2_PRODUCT"
@@ -388,19 +388,6 @@ def _reduced_first_pair(rows: Sequence[Row]) -> tuple[int, int]:
     return b1 // g, l1 // g
 
 
-def eq63_matrix(norm: NormalizedActionS3) -> IntMatrix:
-    """3 x N matrix of relation rows in the (s1^2, s1*s2, s2^2) basis.
-
-    Column 0 is the gcd-reduced first row (b1, l1, 0); column j >= 1 is
-    (a_j*b_j, a_j*l_j + b_j*k_j, k_j*l_j).
-    """
-    bh, lh = _reduced_first_pair(norm.action.rows)
-    cols = [(bh, lh, 0)]
-    for (a, b, k, l) in norm.action.rows[1:]:
-        cols.append((a * b, a * l + b * k, k * l))
-    return IntMatrix.from_rows([[col[i] for col in cols] for i in range(3)])
-
-
 def _epsilon(rows: Sequence[Row], bh: int, lh: int) -> int:
     """epsilon of normalized rows whose reduced first pair is (bh, lh != 0)."""
     sides = [
@@ -441,7 +428,7 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
     bh, lh = _reduced_first_pair(norm.action.rows)
     if lh == 0:
         raise PreconditionError("epsilon is defined only when l1 != 0")
-    if rank_int_rows(eq63_matrix(norm).to_lists()) != 2:
+    if _pencil(_forms(norm.action.rows))[0] != 2:
         raise PreconditionError("epsilon is defined only for rank-2 pencils")
     return _epsilon(norm.action.rows, bh, lh)
 
@@ -453,87 +440,94 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
 class ClassificationResult:
     """The verdict, with the integer relation forms it was decided from.
 
-    ``pencil``, the reduced echelon basis of the span of ``forms``, is
-    built on first read; campaigns never read it.
+    ``rank_d3`` (2 or 3) is the rank of the span of ``forms``; each of the
+    other ``trailing_s3`` forms adds an S^3 factor.  ``pencil``, the reduced
+    echelon basis of the span, is built on first read; campaigns never read it.
     """
 
     kind: str
-    trailing_s3: int
     rank_d3: int
     epsilon: int | None
     forms: tuple[BinaryQuadraticForm, ...]
-    n_factors: int
 
     def __post_init__(self):
         if self.kind not in T2_KINDS:
             raise PreconditionError(f"unknown kind {self.kind!r}")
+        if self.rank_d3 not in (2, 3):
+            raise PreconditionError(f"rank_d3 = {self.rank_d3} is not 2 or 3")
         if (self.kind == T1_S2XS2_PRODUCT) != (self.rank_d3 == 3):
             raise PreconditionError("T1 type corresponds exactly to rank 3")
         if self.epsilon is not None and (self.rank_d3 != 2 or self.epsilon not in (1, -1)):
             raise PreconditionError("epsilon only accompanies rank-2 results")
+
+    @property
+    def trailing_s3(self) -> int:
+        return len(self.forms) - self.rank_d3
 
     @cached_property
     def pencil(self) -> tuple[BinaryQuadraticForm, ...]:
         return _echelon_pencil(self.forms)
 
     def to_record(self) -> dict:
-        record = {
-            "kind": self.kind,
-            "trailing_s3": self.trailing_s3,
-            "rank_d3": self.rank_d3,
-        }
+        record = {"kind": self.kind, "trailing_s3": self.trailing_s3, "rank_d3": self.rank_d3}
         if self.epsilon is not None:
             record["epsilon"] = self.epsilon
-        record["pencil"] = [
-            [str(f.A), str(f.B), str(f.C)] for f in self.pencil
-        ]
+        record["pencil"] = [[str(c) for c in f.coefficients()] for f in self.pencil]
         record["violations"] = []
         return record
 
 
+def _pencil(forms: Sequence[BinaryQuadraticForm]) -> tuple[int, tuple | None]:
+    """(rank, phi) of the span of the relation forms, from one cross product.
+
+    u is the first nonzero form and phi = u x v for the first form v off u's
+    line, so phi is None below rank 2.  The rank is 3 exactly when phi.w != 0
+    for some form w; at rank 2, phi spans the functionals that kill the span.
+    """
+    rows = [f.coefficients() for f in forms]
+    u0, u1, u2 = next((r for r in rows if any(r)), (0, 0, 0))
+    for v0, v1, v2 in rows:
+        phi = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+        if any(phi):
+            rank3 = any(phi[0] * w0 + phi[1] * w1 + phi[2] * w2 for w0, w1, w2 in rows)
+            return (3 if rank3 else 2), phi
+    return (1 if u0 or u1 or u2 else 0), None
+
+
+def _ratio(num: int, den: int):
+    """num/den as an int when it is one, else as a Fraction."""
+    return Fraction(num, den) if num % den else num // den
+
+
 def _echelon_pencil(forms: Sequence[BinaryQuadraticForm]) -> tuple[BinaryQuadraticForm, ...]:
-    """Reduced row echelon basis of the span of the relation forms."""
-    rows = [[Fraction(c) for c in f.coefficients()] for f in forms if not f.is_zero()]
-    r = 0
-    for col in range(3):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(BinaryQuadraticForm(*row) for row in rows[:r])
+    """Reduced row echelon basis of the span of rank-2 or rank-3 relation forms.
+
+    At rank 3 it is the identity; at rank 2 the span is the kernel of
+    phi = (p0, p1, p2), whose echelon basis is read off the last nonzero p_i.
+    """
+    rank, phi = _pencil(forms)
+    if rank < 2:
+        raise PreconditionError(f"pencil has rank {rank} < 2")
+    p0, p1, p2 = phi
+    F = BinaryQuadraticForm
+    if rank == 3:
+        return F(1, 0, 0), F(0, 1, 0), F(0, 0, 1)
+    if p2:
+        return F(1, 0, _ratio(-p0, p2)), F(0, 1, _ratio(-p1, p2))
+    if p1:
+        return F(1, _ratio(-p0, p1), 0), F(0, 0, 1)
+    return F(0, 1, 0), F(0, 0, 1)
 
 
 def _quotient_square_form(forms: Sequence[BinaryQuadraticForm]) -> BinaryQuadraticForm:
     """The square map (alpha, beta) -> [(alpha*s1 + beta*s2)^2] mod the pencil.
 
-    For a rank-2 pencil the quotient of the degree-4 forms is a line; a
-    functional with the pencil as kernel is the cross product of two
-    independent rows, and the induced binary form in (alpha, beta) is well
-    defined up to a nonzero scalar.
+    At rank 2 `_pencil`'s phi has the pencil as kernel, so the induced form
+    phi(alpha^2, 2*alpha*beta, beta^2) is defined up to a nonzero scalar.
     """
-    rows = [tuple(f.coefficients()) for f in forms]
-    u = next((r for r in rows if any(r)), None)
-    if u is None:
-        raise PreconditionError("zero pencil")
-    phi = None
-    for v in rows:
-        c = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if any(c):
-            phi = c
-            break
-    if phi is None:
-        raise PreconditionError("pencil has rank < 2")
+    rank, phi = _pencil(forms)
+    if rank < 2:
+        raise PreconditionError("zero pencil" if rank == 0 else "pencil has rank < 2")
     return BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
 
 
@@ -569,16 +563,15 @@ def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
     calls it after its own checks.
     """
     forms = tuple(_forms(rows))
-    rank = rank_int_rows([f.coefficients() for f in forms])
+    rank, phi = _pencil(forms)
     if rank <= 1:
         raise ClassificationViolation(
-            f"relation pencil has rank {rank} < 2 for a free action",
-            witness=rows,
+            f"relation pencil has rank {rank} < 2 for a free action", witness=rows
         )
     if rank == 3:
-        return ClassificationResult(T1_S2XS2_PRODUCT, len(rows) - 3, 3, None, forms, len(rows))
+        return ClassificationResult(T1_S2XS2_PRODUCT, 3, None, forms)
 
-    q = _quotient_square_form(forms)
+    q = BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
     disc = q.discriminant
     if disc == 0:
         raise ClassificationViolation(f"quotient square map {q} is degenerate", witness=rows)
@@ -595,10 +588,9 @@ def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
     proof_kind, eps = _proof_path_kind(rows)
     if proof_kind != kind:
         raise ClassificationViolation(
-            f"invariant method says {kind}, proof path says {proof_kind}",
-            witness=rows,
+            f"invariant method says {kind}, proof path says {proof_kind}", witness=rows
         )
-    return ClassificationResult(kind, len(rows) - 2, 2, eps, forms, len(rows))
+    return ClassificationResult(kind, 2, eps, forms)
 
 
 def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .actions import (
     circle_euler_data,
@@ -30,6 +29,7 @@ from .classify import (
     square_class_isomorphic,
 )
 from .errors import ClassificationViolation, PreconditionError
+from .exact import parse_rational
 from .harness import GridSpec, run_profile_campaign, run_t2_campaign
 
 EXIT_OK = 0
@@ -160,7 +160,7 @@ def _cmd_normalize(args) -> int:
             "rows": [list(r) for r in norm.action.rows],
             "witness": {
                 "permutation": list(norm.witness.permutation),
-                "reparam": norm.witness.reparam.to_lists(),
+                "reparam": [list(row) for row in norm.witness.reparam],
             },
         },
         args.format,
@@ -199,10 +199,7 @@ def _cmd_circle_classify(args) -> int:
 
 
 def _cmd_square_class(args) -> int:
-    try:
-        alpha, beta = Fraction(args.alpha), Fraction(args.beta)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError("alpha and beta must be rationals like 3 or 3/4")
+    alpha, beta = parse_rational(args.alpha, "alpha"), parse_rational(args.beta, "beta")
     _emit(
         {
             "alpha": str(alpha),

@@ -4,18 +4,21 @@ Everything downstream (freeness tests, cohomology ranks, square-class
 arithmetic) reduces to gcd / rank / perfect-square questions over Z and Q,
 so this module is deliberately float-free.  Rationals are
 ``fractions.Fraction`` (always reduced, positive denominator, canonical
-zero 0/1 -- exactly the invariants we need), matrices are immutable
-row-major tuples.
+zero 0/1 -- exactly the invariants we need) and are read from text only
+as num or num/den; a matrix is a sequence of integer rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ClassificationViolation, PreconditionError
+from .errors import ClassificationViolation, InputFormatError, PreconditionError
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+Matrix2 = tuple[tuple[int, int], tuple[int, int]]  # rows ((m, n), (r, s))
 
 
 def int_tuple(values, what: str) -> tuple[int, ...]:
@@ -27,40 +30,20 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
     return out
 
 
+def parse_rational(text: str, where: str) -> Fraction:
+    """The rational written num or num/den.  Decimals and exponents are refused:
+    an exponent lets a few characters ask for an unbounded power of ten."""
+    try:
+        if _RATIONAL_RE.match(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+        pass
+    raise InputFormatError(f"{where}: bad rational {text!r}, expected num or num/den")
+
+
 def det2(a: int, b: int, c: int, d: int) -> int:
     """Determinant of [[a, b], [c, d]]."""
     return a * d - b * c
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise PreconditionError(
-                f"IntMatrix {self.rows}x{self.cols} needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise PreconditionError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, int_tuple(flat, "IntMatrix entry"))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
@@ -113,10 +96,10 @@ def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def unimodular_complement(m: int, n: int) -> IntMatrix:
+def unimodular_complement(m: int, n: int) -> Matrix2:
     """Complete a coprime pair (m, n) to a determinant-1 integer matrix.
 
-    Returns [[m, n], [r, s]] with m*s - n*r = 1, found by the extended
+    Returns ((m, n), (r, s)) with m*s - n*r = 1, found by the extended
     Euclidean algorithm.  The Bezout family (r + t*m, s + t*n) is searched
     for the representative with smallest |r|, then smallest |s|.
     """
@@ -134,7 +117,7 @@ def unimodular_complement(m: int, n: int) -> IntMatrix:
     r, s = min(candidates, key=lambda rs: (abs(rs[0]), abs(rs[1])))
     if m * s - n * r != 1:
         raise ClassificationViolation(f"unimodular complement of ({m}, {n}) failed", witness=(m, n))
-    return IntMatrix.from_rows([[m, n], [r, s]])
+    return (m, n), (r, s)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

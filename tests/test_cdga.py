@@ -449,6 +449,19 @@ def test_parse_model_diagnostics():
         parse_model("gen u 2\nbogus line\n")
 
 
+@pytest.mark.parametrize("coeff", ["1e5", "0.5", "1.5e3", "1/0", "3/-4", "1" * 5000])
+def test_parse_model_refuses_rationals_outside_the_grammar(coeff):
+    # num or num/den only: an exponent could ask for an unbounded power of ten
+    with pytest.raises(InputFormatError, match="bad rational"):
+        parse_model(f"gen u 2\ngen x 3\nd x = {coeff} u^2\n")
+
+
+def test_parse_model_reads_signed_rationals():
+    names = {"u": 0}
+    p = parse_polynomial("-3/4 u^2 + +2 u + 7 1", names)
+    assert sorted(p.terms.values()) == [Fraction(-3, 4), 2, 7]
+
+
 def test_structural_equality_ignores_names():
     a = FreeCDGA(
         [Generator("u", 2), Generator("x", 3)],

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torquot import (
     BinaryQuadraticForm,
@@ -29,9 +30,10 @@ from torquot.classify import (
     CP2_CONNSUM_PRODUCT,
     S2XS2_PRODUCT,
     T1_S2XS2_PRODUCT,
+    _echelon_pencil,
+    _pencil,
     _quotient_square_form,
     canonical_quotient_model,
-    eq63_matrix,
     quotient_model,
 )
 from torquot.exact import rank_int_rows
@@ -195,6 +197,50 @@ def test_classify_n2_works():
     assert res.kind == S2XS2_PRODUCT and res.trailing_s3 == 0
 
 
+# -- the relation pencil ------------------------------------------------------------------
+
+
+def _reference_echelon(forms):
+    """Reduced row echelon basis of the span of the forms, by Fraction Gauss-Jordan."""
+    rows = [[Fraction(c) for c in f.coefficients()] for f in forms if not f.is_zero()]
+    r = 0
+    for col in range(3):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [v / lead for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return [[str(v) for v in row] for row in rows[:r]]
+
+
+@st.composite
+def form_lists(draw):
+    """1 to 6 forms, each a small integer combination of a random basis of 0 to 3 forms."""
+    small = st.integers(-4, 4)
+    basis = draw(st.lists(st.tuples(small, small, small), min_size=0, max_size=3))
+    row = st.lists(small, min_size=len(basis), max_size=len(basis))
+    coeffs = draw(st.lists(row, min_size=1, max_size=6))
+    return [
+        BinaryQuadraticForm(*(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(3)))
+        for cs in coeffs
+    ]
+
+
+@given(form_lists())
+def test_pencil_matches_reference_elimination(forms):
+    rank, _ = _pencil(forms)
+    assert rank == rank_int_rows([f.coefficients() for f in forms])
+    if rank >= 2:
+        echelon = [[str(c) for c in f.coefficients()] for f in _echelon_pencil(forms)]
+        assert echelon == _reference_echelon(forms)
+
+
 # -- epsilon --------------------------------------------------------------------------------
 
 
@@ -217,12 +263,6 @@ def test_epsilon_plus_one_instance():
 def test_epsilon_rejects_rank3(t1_action):
     with pytest.raises(PreconditionError):
         epsilon_invariant(normalize(t1_action))
-
-
-def test_eq63_matrix_t1(t1_action):
-    m = eq63_matrix(normalize(t1_action))
-    assert (m.rows, m.cols) == (3, 3)
-    assert rank_int_rows(m.to_lists()) == 3
 
 
 def test_epsilon_matches_kind_on_samples():

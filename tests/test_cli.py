@@ -179,6 +179,13 @@ def test_square_class_cli(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha", ["1e5000", "0.5", "1/0"])
+def test_square_class_cli_refuses_rationals_outside_the_grammar(capsys, alpha):
+    code, err = run_cli_err(capsys, "square-class", alpha, "1")
+    assert code == 1
+    assert err.startswith("error: alpha: bad rational")
+
+
 def test_verify_t2_cli(capsys):
     code, out = run_cli(
         capsys, "verify-t2", "--factors", "2", "--bound", "1", "--jobs", "1"

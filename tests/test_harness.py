@@ -236,11 +236,12 @@ def test_campaign_filters_each_action_once(monkeypatch):
     assert totals["kinds"]["T1_S2xS2_PRODUCT"] > 0
 
 
-# -- fault injection on the proof path -------------------------------------------------
+# -- fault injection on the invariant method and the proof path ------------------------
 #
 # Each fake corrupts one row (or one form) of a step inside normalization or
-# the proof path.  The re-checks must turn that into a ClassificationViolation:
-# recorded as a witness by a campaign, exit 2 from the CLI.
+# the proof path, or the relation pencil the invariant method reads.  The
+# re-checks must turn that into a ClassificationViolation: recorded as a
+# witness by a campaign, exit 2 from the CLI.
 
 FAULT_ROWS = ((1, 1, 1, 0), (0, 0, 1, 1))  # free, rank 2, k1 != 0 before normalizing
 _transform_rows = actions._transform_rows
@@ -280,6 +281,15 @@ FAULTS = {
     "unit first pair": (
         classify, "_reduced_first_pair", lambda rows: (2, 0), "is not a unit vector"
     ),
+    "pencil rank": (
+        classify, "_pencil", lambda forms: (1, None), "relation pencil has rank"
+    ),
+    "degenerate square map": (
+        classify, "_pencil", lambda forms: (2, (1, 1, 1)), "is degenerate"
+    ),
+    "square class": (  # discriminant 8: neither a square nor minus one
+        classify, "_pencil", lambda forms: (2, (1, 0, -2)), "outside both admissible square classes"
+    ),
 }
 
 
@@ -312,6 +322,29 @@ def test_no_bare_assert_in_package():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert offenders == []
+
+
+def test_no_unused_imports():
+    # an import nothing reads is left behind by deleted code; the package's
+    # __init__ is exempt, its imports are re-exports
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "torquot").glob("*.py"))
+    paths = [p for p in package if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    offenders = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        # a dotted use a.b.c has the Name a at its root
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert offenders == []
 
 
