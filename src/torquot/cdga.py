@@ -21,6 +21,7 @@ from .errors import InputFormatError, PreconditionError
 from .exact import parse_rational, rank_int_rows
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_EXPONENT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits: int() also takes "٢", "+2", "1_0"
 
 
 @dataclass(frozen=True)
@@ -531,8 +532,10 @@ def parse_polynomial(text: str, name_to_index: Mapping[str, int], where: str = "
                 if "^" in factor:
                     base, _, exp = factor.partition("^")
                     try:
-                        e = int(exp)
-                    except ValueError:
+                        e = int(exp) if _EXPONENT_RE.match(exp) else None
+                    except ValueError:  # more digits than int() converts
+                        e = None
+                    if e is None:
                         raise InputFormatError(f"{where}: bad exponent in {factor!r}")
                 else:
                     base, e = factor, 1

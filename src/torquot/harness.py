@@ -11,17 +11,20 @@ Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
 lists are sorted canonically, so identical grid specs (including the seed)
 produce identical reports for any worker count.  Random mode draws from
-Python's random.Random (MT19937), named in the report config; the parent
-draws every tuple before the grid is chunked, so the draw order does not
-depend on the worker count either.
+Python's random.Random (MT19937), named in the report config: the chunks are
+drawn in grid order from one generator, so the draw order does not depend on
+the worker count either.  The draw reads MT19937 words in bulk but yields
+the stream of one randint(-B, B) call per slot (see _draw).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice, product
 
 from .actions import _effective_rows, _free_rows
 from .cdga import HomotopyProfile
@@ -53,8 +56,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n_factors < 2:
             raise PreconditionError("grid needs n_factors >= 2")
-        if self.coefficient_bound < 1:
-            raise PreconditionError("grid needs coefficient_bound >= 1")
+        if not 1 <= self.coefficient_bound <= 2 ** 31 - 1:
+            raise PreconditionError("grid needs 1 <= coefficient_bound <= 2**31 - 1")
         if self.mode == "exhaustive":
             if self.count is not None or self.seed is not None:
                 raise PreconditionError("exhaustive mode takes no count/seed")
@@ -147,22 +150,45 @@ def _fresh_tally() -> dict:
     }
 
 
-def _scan(args) -> tuple[dict, list]:
-    """Worker: classify the flat weight tuples with grid index in [lo, hi).
+def _draw(rng, bound: int, n_factors: int, count: int) -> list:
+    """The next count weight tuples of a random grid, as row tuples.
 
-    A random grid's tuples arrive drawn by the parent; an exhaustive grid's
-    are generated here in odometer order (the last slot varies fastest).
+    The values are those of one rng.randint(-bound, bound) call per slot,
+    row-major, and rng is left where those calls leave it.  CPython's randint
+    keeps the top k = (2B+1).bit_length() bits of one 32-bit MT19937 word and
+    rejects values >= 2B+1; getrandbits(32 * m) returns the next m words,
+    least significant first.  Asking for m = the values still needed never
+    takes a word that randint would not have taken.
     """
-    grid, lo, hi, flat_tuples = args
-    if flat_tuples is None:
+    width = 2 * bound + 1
+    shift = 32 - width.bit_length()
+    total = 4 * n_factors * count
+    values: list[int] = []
+    while need := total - len(values):
+        # an array keeps the words unboxed until read: a tuple of ints would
+        # hold a whole chunk's words as objects at once
+        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        values += [v - bound for w in words if (v := w >> shift) < width]
+    return list(zip(*[zip(*[iter(values)] * 4)] * n_factors))
+
+
+def _scan(args) -> tuple[dict, list]:
+    """Worker: classify the weight tuples with grid index in [lo, hi).
+
+    Each tuple is a tuple of N row tuples.  A random grid's rows arrive drawn
+    by _draw; an exhaustive grid's are generated here in odometer order (the
+    last slot varies fastest), as a product of rows so no tuple is sliced.
+    """
+    grid, lo, hi, actions = args
+    if actions is None:
         b = grid.coefficient_bound
-        odometer = itertools.product(range(-b, b + 1), repeat=4 * grid.n_factors)
-        flat_tuples = itertools.islice(odometer, lo, hi)
-    n_factors = grid.n_factors
+        row_values = product(range(-b, b + 1), repeat=4)
+        actions = islice(product(row_values, repeat=grid.n_factors), lo, hi)
     tally = _fresh_tally()
     witnesses: list = []
-    for flat in flat_tuples:
-        rows = tuple(flat[4 * i: 4 * i + 4] for i in range(n_factors))
+    for rows in actions:
         tally["tested"] += 1
         if _effective_rows(rows):
             tally["effective"] += 1
@@ -202,21 +228,17 @@ def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
     total = grid.tuple_count
     n_chunks = min(jobs * 4, total)
     bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-    drawn = None
-    if grid.mode == "random":
-        rng = random.Random(grid.seed)
-        b = grid.coefficient_bound
-        drawn = [
-            tuple(rng.randint(-b, b) for _ in range(4 * grid.n_factors))
-            for _ in range(total)
-        ]
-    work = [
-        (grid, lo, hi, None if drawn is None else drawn[lo:hi])
+    rng = random.Random(grid.seed) if grid.mode == "random" else None
+    b = grid.coefficient_bound
+    # chunks in grid order from one generator; at jobs=1, map draws each chunk
+    # just before it is scanned and drops it before the next one is drawn
+    work = (
+        (grid, lo, hi, None if rng is None else _draw(rng, b, grid.n_factors, hi - lo))
         for lo, hi in zip(bounds, bounds[1:])
-    ]
+    )
 
     if jobs == 1:
-        parts = [_scan(w) for w in work]
+        parts = list(map(_scan, work))
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -55,6 +55,22 @@ FROZEN_T2_TOTALS = {
 }
 
 
+# criterion 2's sample (RANDOM_GRID), read before the bulk-word draw replaced
+# one randint call per slot: the draw must reproduce the same tuples
+FROZEN_RANDOM_TOTALS = {
+    "tested": 100_000,
+    "effective": 99_553,
+    "free": 18_597,
+    "violations": 0,
+    "kinds": {
+        "S2xS2_PRODUCT": 12,
+        "CP2_CONNSUM_PRODUCT": 2,
+        "T1_S2xS2_PRODUCT": 18_583,
+    },
+}
+FROZEN_RANDOM_EPSILON_CHECKS = {"checked": 6, "failures": 0}
+
+
 def _criterion(num: int, ok: bool, detail: str):
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
@@ -112,6 +128,8 @@ def test_criterion_2_sampled_t2(random_report):
     ok = (
         totals["tested"] == 100_000
         and totals["violations"] == 0
+        and totals == FROZEN_RANDOM_TOTALS
+        and random_report.epsilon_checks == FROZEN_RANDOM_EPSILON_CHECKS
         and random_report.single_thread_time <= 120.0
     )
     _criterion(

@@ -20,6 +20,7 @@ from torquot import (
 )
 from torquot.cdga import format_model, format_polynomial, parse_model, parse_polynomial
 from torquot.classify import build_d_alpha_model, canonical_quotient_model, quotient_model
+from torquot.cli import cli_main
 from torquot.exact import rank_int_rows
 
 from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS
@@ -454,6 +455,17 @@ def test_parse_model_refuses_rationals_outside_the_grammar(coeff):
     # num or num/den only: an exponent could ask for an unbounded power of ten
     with pytest.raises(InputFormatError, match="bad rational"):
         parse_model(f"gen u 2\ngen x 3\nd x = {coeff} u^2\n")
+
+
+@pytest.mark.parametrize("exponent", ["\u0662", "+2", "1_0", "1" * 5000])
+def test_betti_refuses_exponents_outside_ascii_digits(exponent, tmp_path, capsys):
+    # int() alone reads "\u0662" (Arabic-Indic two) and "+2" as 2 and "1_0" as 10
+    path = tmp_path / "model.txt"
+    path.write_text(f"gen u1 2\ngen x 3\nd x = 1 u1^{exponent}\n", encoding="utf-8")
+    assert cli_main(["betti", str(path), "--max-deg", "5"]) == 1
+    assert "bad exponent" in capsys.readouterr().err
+    path.write_text("gen u1 2\ngen x 3\nd x = 1 u1^2\n")
+    assert cli_main(["betti", str(path), "--max-deg", "5"]) == 0
 
 
 def test_parse_model_reads_signed_rationals():

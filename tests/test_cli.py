@@ -203,6 +203,16 @@ def test_verify_t2_random_needs_seed(capsys):
     assert code == 1
 
 
+def test_verify_t2_refuses_bounds_past_32_bit_words(capsys):
+    code, err = run_cli_err(
+        capsys,
+        "verify-t2", "--factors", "2", "--bound", "2147483648",
+        "--random", "3", "--seed", "1",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_t2_violation_exit_code(capsys, monkeypatch):
     import torquot.harness as harness
 

@@ -1,5 +1,7 @@
 import ast
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +44,15 @@ def test_grid_spec_validation():
         GridSpec(2, 1, mode="exhaustive", seed=3)
     with pytest.raises(PreconditionError):
         GridSpec(2, 1, mode="random", count=5, seed=2 ** 64)
+    # the word-wise draw covers 2B+1 < 2**32 only, in either mode
+    with pytest.raises(PreconditionError):
+        GridSpec(2, 2 ** 31, mode="random", count=5, seed=1)
+    with pytest.raises(PreconditionError):
+        GridSpec(2, 2 ** 40, mode="random", count=5, seed=1)
+    with pytest.raises(PreconditionError):
+        GridSpec(2, 2 ** 31)
+    widest = GridSpec(2, 2 ** 31 - 1, mode="random", count=5, seed=1)
+    assert run_t2_campaign(widest).totals["tested"] == 5
     assert GridSpec(2, 1).tuple_count == 3 ** 8
     assert GridSpec(3, 2).tuple_count == 5 ** 12
 
@@ -66,6 +77,74 @@ def test_random_campaign_reproducible():
     assert a.comparable() == b.comparable()
     other = run_t2_campaign(GridSpec(3, 2, mode="random", count=1500, seed=78))
     assert other.totals != a.totals or other.violation_witnesses != a.violation_witnesses
+
+
+def _randint_rows(rng, bound, n_factors, count):
+    # the documented sampler: one randint(-B, B) per slot, row-major
+    out = []
+    for _ in range(count):
+        flat = [rng.randint(-bound, bound) for _ in range(4 * n_factors)]
+        out.append(tuple(tuple(flat[4 * i: 4 * i + 4]) for i in range(n_factors)))
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 3, 4, 7, 8, 2 ** 31 - 1])
+@pytest.mark.parametrize("n_factors", [2, 3, 4])
+def test_draw_is_the_randint_stream(bound, n_factors):
+    for seed in (0, 42, 2 ** 64 - 1):
+        bulk, slot = random.Random(seed), random.Random(seed)
+        for count in (1, 7, 100):  # drawn in sequence from one generator
+            assert harness._draw(bulk, bound, n_factors, count) == _randint_rows(
+                slot, bound, n_factors, count
+            )
+            assert bulk.getstate() == slot.getstate()  # no word over-drawn
+
+
+def test_random_campaign_calls_no_randint(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("randint called")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    report = run_t2_campaign(GridSpec(3, 2, mode="random", count=300, seed=9))
+    assert report.totals["tested"] == 300
+
+
+def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
+    import concurrent.futures
+
+    seen, chunks = [], []
+
+    class InlinePool:  # scans the jobs=3 chunks in this process, one by one
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            parts = []
+            for chunk in work:
+                seen.clear()
+                parts.append(fn(chunk))
+                chunks.append((chunk[1], chunk[2], list(seen)))
+            return parts
+
+    def recording_effective_rows(rows):
+        seen.append(rows)
+        return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_effective_rows", recording_effective_rows)
+    run_t2_campaign(GridSpec(2, 1), jobs=3)
+    odometer = list(itertools.product(range(-1, 2), repeat=8))
+    assert len(chunks) == 12
+    assert [lo for lo, _, _ in chunks[1:]] == [hi for _, hi, _ in chunks[:-1]]
+    assert chunks[0][0] == 0 and chunks[-1][1] == len(odometer)
+    for lo, hi, rows in chunks:
+        assert rows == [(flat[0:4], flat[4:8]) for flat in odometer[lo:hi]]
 
 
 def test_jobs_do_not_change_report():
