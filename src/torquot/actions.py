@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
 )
 from .exact import Matrix2, int_tuple, unimodular_complement
-from .quadforms import BinaryQuadraticForm
+from .quadforms import BinaryQuadraticForm, Form, pulled_back
 
 Row = tuple[int, int, int, int]
 
@@ -204,14 +204,14 @@ def is_free_circle(act: CircleActionSpheres) -> bool:
 # -- model differentials -----------------------------------------------------------
 
 
-def _forms(rows: Sequence[Row]) -> list[BinaryQuadraticForm]:
-    """Quadratic form (a s1 + k s2)(b s1 + l s2) contributed by each row."""
-    return [BinaryQuadraticForm(a * b, a * l + b * k, k * l) for (a, b, k, l) in rows]
+def _forms(rows: Sequence[Row]) -> list[Form]:
+    """Triple (A, B, C) of the form (a s1 + k s2)(b s1 + l s2) contributed by each row."""
+    return [(a * b, a * l + b * k, k * l) for (a, b, k, l) in rows]
 
 
 def differential_rows(act: TorusActionS3) -> list[BinaryQuadraticForm]:
     """Quadratic form (a s1 + k s2)(b s1 + l s2) contributed by each factor."""
-    return _forms(act.rows)
+    return list(map(BinaryQuadraticForm._make, _forms(act.rows)))
 
 
 def circle_euler_data(act: CircleActionSpheres) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -256,11 +256,11 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
     original, rows = rows, list(rows)
     perm = list(range(len(rows)))
 
-    slot1 = next((i for i, (a, b, _, _) in enumerate(rows) if a * b != 0), None)
-    if slot1 is None:
-        raise FreenessViolation(
-            "no factor has a_i*b_i != 0; a free action always has one"
-        )
+    for slot1, (a, b, _, _) in enumerate(rows):
+        if a * b:
+            break
+    else:
+        raise FreenessViolation("no factor has a_i*b_i != 0; a free action always has one")
     if slot1 != 0:
         rows[0], rows[slot1] = rows[slot1], rows[0]
         perm[0], perm[slot1] = perm[slot1], perm[0]
@@ -277,11 +277,10 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
             witness=original,
         )
 
-    slot2 = next(
-        (i for i, (_, _, k, l) in enumerate(new_rows) if i >= 1 and k * l != 0),
-        None,
-    )
-    if slot2 is None:
+    for slot2 in range(1, len(new_rows)):
+        if new_rows[slot2][2] * new_rows[slot2][3]:
+            break
+    else:
         raise FreenessViolation(
             "no remaining factor has k_i*l_i != 0 after reparametrization; "
             "a free action always has one"
@@ -300,9 +299,8 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
             "normalization destroyed effectiveness/freeness", witness=original
         )
     old_forms = _forms(original)
-    new_forms = _forms(new_rows)
-    for i, p in enumerate(perm):
-        if new_forms[i].substituted(m, n, r, s) != old_forms[p]:
+    for form, p in zip(_forms(new_rows), perm):
+        if pulled_back(form, m, n, r, s) != old_forms[p]:
             raise ClassificationViolation(
                 "normalization broke the differential pencil", witness=original
             )

@@ -543,7 +543,10 @@ def parse_polynomial(text: str, name_to_index: Mapping[str, int], where: str = "
                     raise InputFormatError(f"{where}: unknown generator {base!r}")
                 powers.append((name_to_index[base], e))
             powers.sort()
-            mono = Monomial(tuple(powers))
+            try:
+                mono = Monomial(tuple(powers))
+            except PreconditionError as exc:  # a zero exponent or a repeated generator
+                raise InputFormatError(f"{where}: {exc}")
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return Polynomial(terms)
 

@@ -42,7 +42,7 @@ from .actions import (
 from .cdga import FreeCDGA, Generator, HomotopyProfile, Monomial, Polynomial, check_elliptic_constraints
 from .errors import ClassificationViolation, FreenessViolation, PreconditionError
 from .exact import det2, is_rational_square
-from .quadforms import BinaryQuadraticForm
+from .quadforms import BinaryQuadraticForm, Form
 
 S2XS2_PRODUCT = "S2xS2_PRODUCT"
 CP2_CONNSUM_PRODUCT = "CP2_CONNSUM_PRODUCT"
@@ -244,26 +244,18 @@ def quotient_model(act: TorusActionS3) -> FreeCDGA:
     return model_from_forms(differential_rows(act))
 
 
-def model_from_forms(forms: Sequence[BinaryQuadraticForm]) -> FreeCDGA:
+def model_from_forms(forms: Sequence[Form]) -> FreeCDGA:
     gens = [Generator("s1", 2), Generator("s2", 2)]
     gens += [Generator(f"x{i+1}", 3) for i in range(len(forms))]
-    s1s1 = Monomial(((0, 2),))
-    s1s2 = Monomial(((0, 1), (1, 1)))
-    s2s2 = Monomial(((1, 2),))
-    differential = {}
-    for i, f in enumerate(forms):
-        differential[2 + i] = Polynomial({s1s1: f.A, s1s2: f.B, s2s2: f.C})
+    squares = Monomial(((0, 2),)), Monomial(((0, 1), (1, 1))), Monomial(((1, 2),))
+    differential = {2 + i: Polynomial(dict(zip(squares, f))) for i, f in enumerate(forms)}
     return FreeCDGA(gens, differential, kind="minimal")
 
 
 _CANONICAL_FORMS = {
-    S2XS2_PRODUCT: (BinaryQuadraticForm(1, 0, 0), BinaryQuadraticForm(0, 0, 1)),
-    CP2_CONNSUM_PRODUCT: (BinaryQuadraticForm(0, 1, 0), BinaryQuadraticForm(1, 0, -1)),
-    T1_S2XS2_PRODUCT: (
-        BinaryQuadraticForm(1, 0, 0),
-        BinaryQuadraticForm(0, 1, 0),
-        BinaryQuadraticForm(0, 0, 1),
-    ),
+    S2XS2_PRODUCT: ((1, 0, 0), (0, 0, 1)),
+    CP2_CONNSUM_PRODUCT: ((0, 1, 0), (1, 0, -1)),
+    T1_S2XS2_PRODUCT: ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
 }
 
 
@@ -274,8 +266,7 @@ def canonical_quotient_model(kind: str, n_factors: int) -> FreeCDGA:
     base = _CANONICAL_FORMS[kind]
     if n_factors < len(base):
         raise PreconditionError(f"{kind} needs at least {len(base)} factors")
-    forms = list(base) + [BinaryQuadraticForm(0, 0, 0)] * (n_factors - len(base))
-    return model_from_forms(forms)
+    return model_from_forms(base + ((0, 0, 0),) * (n_factors - len(base)))
 
 
 def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
@@ -325,13 +316,11 @@ class SubstitutionWitness:
     x_map: tuple[tuple[int, int], tuple[int, int]]
 
 
-def _square_of_linear(p, q) -> BinaryQuadraticForm:
-    return BinaryQuadraticForm(p * p, 2 * p * q, q * q)
+def _square_of_linear(p, q) -> Form:
+    return (p * p, 2 * p * q, q * q)
 
 
-def lemma64_substitution(
-    d1: BinaryQuadraticForm, d2: BinaryQuadraticForm
-) -> SubstitutionWitness:
+def lemma64_substitution(d1: Form, d2: Form) -> SubstitutionWitness:
     """Rewrite a rank-2 pencil in normal position as (s~1^2, s~2^2).
 
     Accepts either d1 = alpha*s1^2, d2 = beta*s1*s2 + gamma*s2^2 with
@@ -341,32 +330,30 @@ def lemma64_substitution(
     is verified exactly: applying x_map to (d1, d2) must reproduce the
     squares of the s_map rows.
     """
-    if d1.B == 0 and d1.C == 0 and d1.A != 0 and d2.A == 0 and d2.C != 0:
-        alpha, beta, gamma = d1.A, d2.B, d2.C
+    (A1, B1, C1), (A2, B2, C2) = d1, d2
+    if B1 == 0 and C1 == 0 and A1 != 0 and A2 == 0 and C2 != 0:
+        alpha, beta, gamma = A1, B2, C2
         if beta == 0:
             s_map = x_map = ((alpha, 0), (0, gamma))
         else:
             p, c = alpha * beta, alpha * beta * beta
             s_map = ((p, 0), (p, 2 * alpha * gamma))
             x_map = ((c, 0), (c, 4 * alpha * alpha * gamma))
-    elif d1.coefficients() == (0, 1, 0) and d2.coefficients() == (1, 0, 1):
+    elif (A1, B1, C1, A2, B2, C2) == (0, 1, 0, 1, 0, 1):
         s_map = ((1, -1), (1, 1))
         x_map = ((-2, 1), (2, 1))
     else:
         raise PreconditionError(
-            f"pencil ({d1}; {d2}) is not in either normal position"
+            f"pencil ({BinaryQuadraticForm(*d1)}; {BinaryQuadraticForm(*d2)}) "
+            "is not in either normal position"
         )
 
     for (c1, c2), (p, q) in zip(x_map, s_map):
-        transformed = BinaryQuadraticForm(
-            c1 * d1.A + c2 * d2.A,
-            c1 * d1.B + c2 * d2.B,
-            c1 * d1.C + c2 * d2.C,
-        )
+        transformed = (c1 * A1 + c2 * A2, c1 * B1 + c2 * B2, c1 * C1 + c2 * C2)
         if transformed != _square_of_linear(p, q):
             raise ClassificationViolation(
                 "substitution failed to reduce the pencil to squares",
-                witness=(d1.coefficients(), d2.coefficients()),
+                witness=((A1, B1, C1), (A2, B2, C2)),
             )
     if s_map[0][0] * s_map[1][1] - s_map[0][1] * s_map[1][0] == 0:
         raise ClassificationViolation("substitution is not invertible")
@@ -448,7 +435,7 @@ class ClassificationResult:
     kind: str
     rank_d3: int
     epsilon: int | None
-    forms: tuple[BinaryQuadraticForm, ...]
+    forms: tuple[Form, ...]
 
     def __post_init__(self):
         if self.kind not in T2_KINDS:
@@ -477,21 +464,26 @@ class ClassificationResult:
         return record
 
 
-def _pencil(forms: Sequence[BinaryQuadraticForm]) -> tuple[int, tuple | None]:
+def _pencil(forms: Sequence[Form]) -> tuple[int, tuple | None]:
     """(rank, phi) of the span of the relation forms, from one cross product.
 
     u is the first nonzero form and phi = u x v for the first form v off u's
     line, so phi is None below rank 2.  The rank is 3 exactly when phi.w != 0
     for some form w; at rank 2, phi spans the functionals that kill the span.
     """
-    rows = [f.coefficients() for f in forms]
-    u0, u1, u2 = next((r for r in rows if any(r)), (0, 0, 0))
-    for v0, v1, v2 in rows:
-        phi = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-        if any(phi):
-            rank3 = any(phi[0] * w0 + phi[1] * w1 + phi[2] * w2 for w0, w1, w2 in rows)
-            return (3 if rank3 else 2), phi
-    return (1 if u0 or u1 or u2 else 0), None
+    for u0, u1, u2 in forms:
+        if u0 or u1 or u2:
+            break
+    else:
+        return 0, None
+    for v0, v1, v2 in forms:
+        p0, p1, p2 = phi = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+        if p0 or p1 or p2:
+            for w0, w1, w2 in forms:
+                if p0 * w0 + p1 * w1 + p2 * w2:
+                    return 3, phi
+            return 2, phi
+    return 1, None
 
 
 def _ratio(num: int, den: int):
@@ -499,7 +491,7 @@ def _ratio(num: int, den: int):
     return Fraction(num, den) if num % den else num // den
 
 
-def _echelon_pencil(forms: Sequence[BinaryQuadraticForm]) -> tuple[BinaryQuadraticForm, ...]:
+def _echelon_pencil(forms: Sequence[Form]) -> tuple[BinaryQuadraticForm, ...]:
     """Reduced row echelon basis of the span of rank-2 or rank-3 relation forms.
 
     At rank 3 it is the identity; at rank 2 the span is the kernel of
@@ -519,7 +511,7 @@ def _echelon_pencil(forms: Sequence[BinaryQuadraticForm]) -> tuple[BinaryQuadrat
     return F(0, 1, 0), F(0, 0, 1)
 
 
-def _quotient_square_form(forms: Sequence[BinaryQuadraticForm]) -> BinaryQuadraticForm:
+def _quotient_square_form(forms: Sequence[Form]) -> BinaryQuadraticForm:
     """The square map (alpha, beta) -> [(alpha*s1 + beta*s2)^2] mod the pencil.
 
     At rank 2 `_pencil`'s phi has the pencil as kernel, so the induced form
@@ -544,14 +536,12 @@ def _proof_path_kind(rows: Sequence[Row]) -> tuple[str, int | None]:
                 witness=rows,
             )
         a2, b2, k2, l2 = norm_rows[1]
-        d1 = BinaryQuadraticForm(bh, 0, 0)
-        d2 = BinaryQuadraticForm(0, a2 * l2 + b2 * k2, k2 * l2)
-        lemma64_substitution(d1, d2)
+        lemma64_substitution((bh, 0, 0), (0, a2 * l2 + b2 * k2, k2 * l2))
         return S2XS2_PRODUCT, None
     eps = _epsilon(norm_rows, bh, lh)
     if eps == 1:
         # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2: the special rewrite applies
-        lemma64_substitution(BinaryQuadraticForm(0, 1, 0), BinaryQuadraticForm(1, 0, 1))
+        lemma64_substitution((0, 1, 0), (1, 0, 1))
         return S2XS2_PRODUCT, eps
     return CP2_CONNSUM_PRODUCT, eps
 
@@ -571,15 +561,16 @@ def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
     if rank == 3:
         return ClassificationResult(T1_S2XS2_PRODUCT, 3, None, forms)
 
-    q = BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
-    disc = q.discriminant
-    if disc == 0:
-        raise ClassificationViolation(f"quotient square map {q} is degenerate", witness=rows)
-    if is_rational_square(disc):
+    p0, p1, p2 = phi
+    disc = 4 * p1 * p1 - 4 * p0 * p2  # of the square map (p0, 2*p1, p2)
+    if disc and is_rational_square(disc):
         kind = S2XS2_PRODUCT
-    elif is_rational_square(-disc):
+    elif disc and is_rational_square(-disc):
         kind = CP2_CONNSUM_PRODUCT
     else:
+        q = BinaryQuadraticForm(p0, 2 * p1, p2)
+        if disc == 0:
+            raise ClassificationViolation(f"quotient square map {q} is degenerate", witness=rows)
         raise ClassificationViolation(
             f"anisotropic square map {q} with discriminant {disc} outside "
             "both admissible square classes",

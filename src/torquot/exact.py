@@ -105,16 +105,15 @@ def unimodular_complement(m: int, n: int) -> Matrix2:
     """
     if (m, n) == (0, 0) or math.gcd(m, n) != 1:
         raise PreconditionError(f"({m}, {n}) is not a coprime pair")
-    # extended Euclid: x*m + y*n == 1, so s0 = x, r0 = -y
-    x, y = _bezout(m, n)
-    r0, s0 = -y, x
+    x, y = _bezout(m, n)  # extended Euclid: x*m + y*n == 1
+    r, s = -y, x
     if m != 0:
-        t0 = -r0 // m  # floor(-r0/m); the minimiser is it or its ceiling
-        candidates = [(r0 + t * m, s0 + t * n) for t in range(t0 - 2, t0 + 3)]
+        t = -r // m  # r + t*m and r + (t+1)*m straddle 0: any other t has larger |r|
+        r, s = r + t * m, s + t * n
+        if (abs(r + m), abs(s + n)) < (abs(r), abs(s)):
+            r, s = r + m, s + n
     else:
-        # r is pinned by -n*r == 1; s is free, smallest |s| is 0
-        candidates = [(r0, 0)]
-    r, s = min(candidates, key=lambda rs: (abs(rs[0]), abs(rs[1])))
+        s = 0  # r is pinned by -n*r == 1; s is free, smallest |s| is 0
     if m * s - n * r != 1:
         raise ClassificationViolation(f"unimodular complement of ({m}, {n}) failed", witness=(m, n))
     return (m, n), (r, s)

@@ -23,6 +23,7 @@ import random
 import sys
 import time
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice, product
 
@@ -220,6 +221,19 @@ def _merge(parts) -> tuple[dict, list]:
     return tally, witnesses
 
 
+def _pooled(work, jobs: int):
+    """_scan in jobs worker processes, results in order.  At most jobs items are in
+    flight (the pool's map would submit every one at once), so few chunks are held."""
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        window: deque = deque()
+        for item in work:
+            if len(window) == jobs:
+                yield window.popleft().result()
+            window.append(pool.submit(_scan, item))
+        yield from (future.result() for future in window)
+
+
 def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
     """Classify every effective, free action in the grid and tally the kinds."""
     jobs = resolve_jobs(jobs)
@@ -230,21 +244,13 @@ def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
     bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
     rng = random.Random(grid.seed) if grid.mode == "random" else None
     b = grid.coefficient_bound
-    # chunks in grid order from one generator; at jobs=1, map draws each chunk
-    # just before it is scanned and drops it before the next one is drawn
+    # chunks in grid order from one generator, each drawn just before it is
+    # scanned (jobs=1) or submitted (jobs>1), and merged as its result arrives
     work = (
         (grid, lo, hi, None if rng is None else _draw(rng, b, grid.n_factors, hi - lo))
         for lo, hi in zip(bounds, bounds[1:])
     )
-
-    if jobs == 1:
-        parts = list(map(_scan, work))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan, work))
-
-    tally, witnesses = _merge(parts)
+    tally, witnesses = _merge(map(_scan, work) if jobs == 1 else _pooled(work, jobs))
     epsilon_checks = {
         "checked": tally.pop("epsilon_checked"),
         "failures": sum(1 for w in witnesses if w["epsilon_related"]),

@@ -9,8 +9,11 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -387,3 +390,24 @@ def test_criterion_9_worker_determinism(exhaustive_cli):
         ok = ok and t8 <= 60.0
         detail += " (8-worker limit 60s applied)"
     _criterion(9, ok, detail)
+
+
+def test_run_verification_script_smoke():
+    # the desk-scale sweep end to end, its campaigns through a two-worker pool
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = root / "scripts" / "run_verification.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--sample-count", "1000", "--n-max", "6", "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["campaign"] for r in records] == ["t2-exhaustive", "t2-random", "profiles"]
+    assert all(r["totals"]["violations"] == 0 and r["violation_witnesses"] == [] for r in records)
+    assert records[0]["totals"] == FROZEN_T2_TOTALS
+    assert records[1]["totals"]["tested"] == 1000

@@ -468,6 +468,18 @@ def test_betti_refuses_exponents_outside_ascii_digits(exponent, tmp_path, capsys
     assert cli_main(["betti", str(path), "--max-deg", "5"]) == 0
 
 
+@pytest.mark.parametrize(
+    "monomial, message",
+    [("u1^0", "exponents must be positive"), ("u1*u1", "indices must be strictly ascending")],
+)
+def test_betti_reports_the_line_of_a_bad_monomial(monomial, message, tmp_path, capsys):
+    path = tmp_path / "model.txt"
+    path.write_text(f"gen u1 2\ngen x 3\nd x = 1 {monomial}\n")
+    assert cli_main(["betti", str(path), "--max-deg", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "line 3:" in err and message in err
+
+
 def test_parse_model_reads_signed_rationals():
     names = {"u": 0}
     p = parse_polynomial("-3/4 u^2 + +2 u + 7 1", names)

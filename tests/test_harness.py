@@ -12,12 +12,7 @@ import torquot.actions as actions
 import torquot.classify as classify
 import torquot.exact as exact
 import torquot.harness as harness
-from torquot import (
-    BinaryQuadraticForm,
-    ClassificationViolation,
-    PreconditionError,
-    TorusActionS3,
-)
+from torquot import ClassificationViolation, PreconditionError, TorusActionS3
 from torquot.actions import format_action
 from torquot.classify import classify_t2_quotient
 from torquot.cli import cli_main
@@ -124,13 +119,12 @@ def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, work):
-            parts = []
-            for chunk in work:
-                seen.clear()
-                parts.append(fn(chunk))
-                chunks.append((chunk[1], chunk[2], list(seen)))
-            return parts
+        def submit(self, fn, chunk):
+            seen.clear()
+            future = concurrent.futures.Future()
+            future.set_result(fn(chunk))
+            chunks.append((chunk[1], chunk[2], list(seen)))
+            return future
 
     def recording_effective_rows(rows):
         seen.append(rows)
@@ -145,6 +139,48 @@ def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
     assert chunks[0][0] == 0 and chunks[-1][1] == len(odometer)
     for lo, hi, rows in chunks:
         assert rows == [(flat[0:4], flat[4:8]) for flat in odometer[lo:hi]]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pool_draws_at_most_one_chunk_past_the_window(jobs, monkeypatch):
+    import concurrent.futures
+
+    grid = GridSpec(3, 1, mode="random", count=3000, seed=5)
+    expected = run_t2_campaign(grid, jobs=1).comparable()
+    drawn, consumed, ahead = [0], [0], []
+
+    class LazyFuture:  # scans its chunk only when the campaign asks for the result
+        def __init__(self, fn, chunk):
+            self.fn, self.chunk = fn, chunk
+
+        def result(self):
+            consumed[0] += 1
+            return self.fn(self.chunk)
+
+    class LazyPool:
+        def __init__(self, max_workers):
+            assert max_workers == jobs
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, chunk):
+            return LazyFuture(fn, chunk)
+
+    def counted_draw(*args):
+        drawn[0] += 1
+        ahead.append(drawn[0] - consumed[0])
+        return draw(*args)
+
+    draw = harness._draw
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(harness, "_draw", counted_draw)
+    assert run_t2_campaign(grid, jobs=jobs).comparable() == expected
+    assert drawn[0] == consumed[0] == 4 * jobs
+    assert max(ahead) == jobs + 1
 
 
 def test_jobs_do_not_change_report():
@@ -325,6 +361,7 @@ def test_campaign_filters_each_action_once(monkeypatch):
 FAULT_ROWS = ((1, 1, 1, 0), (0, 0, 1, 1))  # free, rank 2, k1 != 0 before normalizing
 _transform_rows = actions._transform_rows
 _forms = actions._forms
+_square_of_linear = classify._square_of_linear
 
 
 def _shift_first_pair(rows, m, n, r, s):
@@ -343,8 +380,13 @@ def _double_second_row(rows, m, n, r, s):
 def _bump_first_form(rows):
     forms = _forms(rows)
     f = forms[0]
-    forms[0] = BinaryQuadraticForm(f.A + 1, f.B, f.C)
+    forms[0] = (f[0] + 1, f[1], f[2])
     return forms
+
+
+def _bump_middle_of_square(p, q):
+    A, B, C = _square_of_linear(p, q)
+    return (A, B + 1, C)
 
 
 FAULTS = {
@@ -369,7 +411,12 @@ FAULTS = {
     "square class": (  # discriminant 8: neither a square nor minus one
         classify, "_pencil", lambda forms: (2, (1, 0, -2)), "outside both admissible square classes"
     ),
+    "lemma 6.4 re-expansion": (  # FAULT_ROWS take the epsilon = +1 rewrite
+        classify, "_square_of_linear", _bump_middle_of_square, "failed to reduce the pencil to squares"
+    ),
 }
+# lemma 6.4 names the pencil it failed to rewrite, (s1*s2, s1^2 + s2^2) at epsilon = +1
+CLI_WITNESS = {"lemma 6.4 re-expansion": [[0, 1, 0], [1, 0, 1]]}
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -389,7 +436,7 @@ def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     assert cli_main(["classify", str(path)]) == 2
     record = json.loads(capsys.readouterr().out)
     assert message in record["violations"][0]
-    assert record["witness"] == [list(r) for r in FAULT_ROWS]
+    assert record["witness"] == CLI_WITNESS.get(fault, [list(r) for r in FAULT_ROWS])
 
 
 def test_no_bare_assert_in_package():
