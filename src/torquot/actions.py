@@ -165,6 +165,36 @@ def _free_rows(rows: Sequence[Row]) -> bool:
     return False
 
 
+def _free_checks(prefix: Sequence[Row]) -> list[tuple[int, int, int]] | None:
+    """`_free_rows`'s walk over the rows before the last, for any last row.
+
+    The carried moduli and the early return depend only on the rows walked;
+    the last row is one more gcd term in the h of each pivot.  None when the
+    moduli never empty (no last row frees the action), else the lines
+    (x, y, h) with h != 1: (u, s, v, t) frees iff gcd(h, (x*v - y*u)*(x*t - y*s)) == 1.
+    """
+    moduli, checks = {0}, []
+    for i, (a, b, k, l) in enumerate(prefix):
+        if not (a or k) or not (b or l):
+            continue
+        later = prefix[i + 1:]
+        carried = set()
+        for x, y in ((a, k),) if a == b and k == l else ((a, k), (b, l)):
+            g = math.gcd(x, y)
+            x, y = x // g, y // g
+            for c in moduli:
+                h = math.gcd(c, *((x * v - y * u) * (x * t - y * s) for u, s, v, t in later))
+                if h != 1:
+                    checks.append((x, y, h))
+                c = math.gcd(c, g)
+                if c != 1:
+                    carried.add(c)
+        if not carried:
+            return checks
+        moduli = carried
+    return None
+
+
 def is_free(act: TorusActionS3) -> bool:
     """Freeness of the torus action by the line-mod-p criterion of `_free_rows`.
 
@@ -274,7 +304,7 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
         raise ClassificationViolation(
             f"reparametrization took the first pair ({a1}, {k1}) to "
             f"({new_rows[0][0]}, {new_rows[0][2]}), not ({d}, 0)",
-            witness=original,
+            witness=original, stage="normalization",
         )
 
     for slot2 in range(1, len(new_rows)):
@@ -296,13 +326,15 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
     # normalization itself
     if not _effective_rows(new_rows) or not _free_rows(new_rows):
         raise ClassificationViolation(
-            "normalization destroyed effectiveness/freeness", witness=original
+            "normalization destroyed effectiveness/freeness",
+            witness=original, stage="normalization",
         )
     old_forms = _forms(original)
     for form, p in zip(_forms(new_rows), perm):
         if pulled_back(form, m, n, r, s) != old_forms[p]:
             raise ClassificationViolation(
-                "normalization broke the differential pencil", witness=original
+                "normalization broke the differential pencil",
+                witness=original, stage="normalization",
             )
     return new_rows, tuple(perm), reparam
 

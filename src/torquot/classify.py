@@ -353,10 +353,10 @@ def lemma64_substitution(d1: Form, d2: Form) -> SubstitutionWitness:
         if transformed != _square_of_linear(p, q):
             raise ClassificationViolation(
                 "substitution failed to reduce the pencil to squares",
-                witness=((A1, B1, C1), (A2, B2, C2)),
+                witness=((A1, B1, C1), (A2, B2, C2)), stage="substitution",
             )
     if s_map[0][0] * s_map[1][1] - s_map[0][1] * s_map[1][0] == 0:
-        raise ClassificationViolation("substitution is not invertible")
+        raise ClassificationViolation("substitution is not invertible", stage="substitution")
     return SubstitutionWitness(s_map, x_map)
 
 
@@ -533,17 +533,20 @@ def _proof_path_kind(rows: Sequence[Row]) -> tuple[str, int | None]:
         if abs(bh) != 1:
             raise ClassificationViolation(
                 f"gcd-reduced first pair ({bh}, 0) is not a unit vector",
-                witness=rows,
+                witness=rows, stage="proof_path",
             )
         a2, b2, k2, l2 = norm_rows[1]
-        lemma64_substitution((bh, 0, 0), (0, a2 * l2 + b2 * k2, k2 * l2))
-        return S2XS2_PRODUCT, None
-    eps = _epsilon(norm_rows, bh, lh)
-    if eps == 1:
-        # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2: the special rewrite applies
-        lemma64_substitution((0, 1, 0), (1, 0, 1))
-        return S2XS2_PRODUCT, eps
-    return CP2_CONNSUM_PRODUCT, eps
+        eps, pencil = None, ((bh, 0, 0), (0, a2 * l2 + b2 * k2, k2 * l2))
+    else:
+        eps = _epsilon(norm_rows, bh, lh)
+        if eps != 1:
+            return CP2_CONNSUM_PRODUCT, eps
+        pencil = ((0, 1, 0), (1, 0, 1))  # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2
+    try:
+        lemma64_substitution(*pencil)
+    except ClassificationViolation as exc:  # name the action, not the pencil
+        raise ClassificationViolation(str(exc), witness=rows, stage=exc.stage) from exc
+    return S2XS2_PRODUCT, eps
 
 
 def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
@@ -556,7 +559,8 @@ def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
     rank, phi = _pencil(forms)
     if rank <= 1:
         raise ClassificationViolation(
-            f"relation pencil has rank {rank} < 2 for a free action", witness=rows
+            f"relation pencil has rank {rank} < 2 for a free action",
+            witness=rows, stage="invariant",
         )
     if rank == 3:
         return ClassificationResult(T1_S2XS2_PRODUCT, 3, None, forms)
@@ -570,16 +574,19 @@ def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
     else:
         q = BinaryQuadraticForm(p0, 2 * p1, p2)
         if disc == 0:
-            raise ClassificationViolation(f"quotient square map {q} is degenerate", witness=rows)
+            raise ClassificationViolation(
+                f"quotient square map {q} is degenerate", witness=rows, stage="invariant"
+            )
         raise ClassificationViolation(
             f"anisotropic square map {q} with discriminant {disc} outside "
             "both admissible square classes",
-            witness=rows,
+            witness=rows, stage="invariant",
         )
     proof_kind, eps = _proof_path_kind(rows)
     if proof_kind != kind:
         raise ClassificationViolation(
-            f"invariant method says {kind}, proof path says {proof_kind}", witness=rows
+            f"invariant method says {kind}, proof path says {proof_kind}",
+            witness=rows, stage="proof_path",
         )
     return ClassificationResult(kind, 2, eps, forms)
 

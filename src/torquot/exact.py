@@ -115,7 +115,9 @@ def unimodular_complement(m: int, n: int) -> Matrix2:
     else:
         s = 0  # r is pinned by -n*r == 1; s is free, smallest |s| is 0
     if m * s - n * r != 1:
-        raise ClassificationViolation(f"unimodular complement of ({m}, {n}) failed", witness=(m, n))
+        raise ClassificationViolation(
+            f"unimodular complement of ({m}, {n}) failed", witness=(m, n), stage="complement"
+        )
     return (m, n), (r, s)
 
 

@@ -5,7 +5,9 @@ sampling), filters to effective then free actions, classifies every
 survivor, and tallies the outcome.  A ClassificationViolation is data, not
 an error: it is recorded with a reproducible witness and the campaign keeps
 going, because a nonempty witness list is exactly the "theorem falsified"
-signal the harness exists to detect.
+signal the harness exists to detect.  The exhaustive odometer is filtered a
+block of (2B+1)^4 tuples at a time: they share their first N-1 rows, whose
+gcds and freeness walk are made once.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
@@ -26,8 +28,9 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice, product
+from math import gcd
 
-from .actions import _effective_rows, _free_rows
+from .actions import _effective_rows, _free_checks, _free_rows
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
@@ -175,27 +178,61 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
     return list(zip(*[zip(*[iter(values)] * 4)] * n_factors))
 
 
-def _scan(args) -> tuple[dict, list]:
-    """Worker: classify the weight tuples with grid index in [lo, hi).
-
-    Each tuple is a tuple of N row tuples.  A random grid's rows arrive drawn
-    by _draw; an exhaustive grid's are generated here in odometer order (the
-    last slot varies fastest), as a product of rows so no tuple is sliced.
-    """
-    grid, lo, hi, actions = args
-    if actions is None:
-        b = grid.coefficient_bound
-        row_values = product(range(-b, b + 1), repeat=4)
-        actions = islice(product(row_values, repeat=grid.n_factors), lo, hi)
-    tally = _fresh_tally()
-    witnesses: list = []
+def _drawn_free(actions, tally):
+    """The effective, free tuples of a drawn chunk, each filtered on its own."""
     for rows in actions:
         tally["tested"] += 1
         if _effective_rows(rows):
             tally["effective"] += 1
             if _free_rows(rows):
                 tally["free"] += 1
-                _classify_rows(rows, tally, witnesses)
+                yield rows
+
+
+def _odometer_free(grid, lo, hi, tally):
+    """The effective, free tuples with odometer index in [lo, hi), a block of
+    last rows per prefix of N-1 rows; a block cut by lo or hi is sliced."""
+    bound = grid.coefficient_bound
+    last_rows = list(product(range(-bound, bound + 1), repeat=4))
+    size = len(last_rows)
+    prefixes = islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, None)
+    for start, prefix in zip(range(lo - lo % size, hi, size), prefixes):
+        yield from _block_free(prefix, last_rows[max(lo - start, 0):hi - start], tally)
+
+
+def _block_free(prefix, last_rows, tally):
+    """The effective, free tuples prefix + (row,) for row in last_rows, tested
+    against the prefix's gcds and freeness walk (_free_checks), made once."""
+    tally["tested"] += len(last_rows)
+    a, b, k, l = zip(*prefix)
+    g_ab, g_kl = gcd(*a, *b), gcd(*k, *l)
+    if g_ab != 1 or g_kl != 1:
+        last_rows = [r for r in last_rows if gcd(g_ab, r[0], r[1]) == 1 == gcd(g_kl, r[2], r[3])]
+    tally["effective"] += len(last_rows)
+    checks = _free_checks(prefix)
+    for row in last_rows if checks is not None else ():
+        u, s, v, t = row
+        for x, y, h in checks:
+            if gcd(h, (x * v - y * u) * (x * t - y * s)) != 1:
+                break
+        else:
+            tally["free"] += 1
+            yield prefix + (row,)
+
+
+def _scan(args) -> tuple[dict, list]:
+    """Worker: classify the weight tuples with grid index in [lo, hi).
+
+    Each tuple is a tuple of N row tuples.  A random grid's rows arrive drawn
+    by _draw; an exhaustive grid's are generated here in odometer order (the
+    last slot varies fastest), a block of last rows per prefix of N-1 rows.
+    """
+    grid, lo, hi, actions = args
+    tally = _fresh_tally()
+    witnesses: list = []
+    free = _odometer_free(grid, lo, hi, tally) if actions is None else _drawn_free(actions, tally)
+    for rows in free:
+        _classify_rows(rows, tally, witnesses)
     return tally, witnesses
 
 

@@ -1,12 +1,17 @@
 import ast
+import concurrent.futures
+import functools
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torquot.actions as actions
 import torquot.classify as classify
@@ -104,47 +109,133 @@ def test_random_campaign_calls_no_randint(monkeypatch):
     assert report.totals["tested"] == 300
 
 
-def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
-    import concurrent.futures
+class InlinePool:  # stands in for the process pool: scans each chunk in this process
+    def __init__(self, max_workers):
+        pass
 
-    seen, chunks = [], []
+    def __enter__(self):
+        return self
 
-    class InlinePool:  # scans the jobs=3 chunks in this process, one by one
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, chunk):
-            seen.clear()
-            future = concurrent.futures.Future()
-            future.set_result(fn(chunk))
-            chunks.append((chunk[1], chunk[2], list(seen)))
-            return future
-
-    def recording_effective_rows(rows):
-        seen.append(rows)
+    def __exit__(self, *exc):
         return False
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(harness, "_effective_rows", recording_effective_rows)
+    def submit(self, fn, chunk):
+        future = concurrent.futures.Future()
+        future.set_result(fn(chunk))
+        return future
+
+
+def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
+    seen, chunks = [], []
+
+    class RecordingPool(InlinePool):
+        def submit(self, fn, chunk):
+            seen.clear()
+            future = super().submit(fn, chunk)
+            chunks.append((chunk[1], chunk[2], list(seen), future.result()[0]))
+            return future
+
+    def recording_classify(rows):
+        seen.append(rows)
+        return classify._classify_free_rows(rows)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_classify_free_rows", recording_classify)
     run_t2_campaign(GridSpec(2, 1), jobs=3)
-    odometer = list(itertools.product(range(-1, 2), repeat=8))
+    odometer = [(flat[0:4], flat[4:8]) for flat in itertools.product(range(-1, 2), repeat=8)]
     assert len(chunks) == 12
-    assert [lo for lo, _, _ in chunks[1:]] == [hi for _, hi, _ in chunks[:-1]]
+    assert [lo for lo, _, _, _ in chunks[1:]] == [hi for _, hi, _, _ in chunks[:-1]]
     assert chunks[0][0] == 0 and chunks[-1][1] == len(odometer)
-    for lo, hi, rows in chunks:
-        assert rows == [(flat[0:4], flat[4:8]) for flat in odometer[lo:hi]]
+    for lo, hi, rows, tally in chunks:
+        effective = [r for r in odometer[lo:hi] if actions._effective_rows(r)]
+        free = [r for r in effective if actions._free_rows(r)]
+        assert rows == free
+        assert (tally["tested"], tally["effective"], tally["free"]) == (
+            hi - lo, len(effective), len(free)
+        )
+
+
+@functools.lru_cache(maxsize=1)
+def _per_tuple_report(n_factors, bound):
+    # the campaign's totals and epsilon count, tallied one odometer tuple at a
+    # time with the per-tuple filter, and each free tuple's (kind, epsilon),
+    # one shared object per outcome
+    tally, verdicts, outcomes = harness._fresh_tally(), {}, {}
+    row_values = list(itertools.product(range(-bound, bound + 1), repeat=4))
+    for rows in itertools.product(row_values, repeat=n_factors):
+        tally["tested"] += 1
+        if actions._effective_rows(rows):
+            tally["effective"] += 1
+            if actions._free_rows(rows):
+                tally["free"] += 1
+                result = classify._classify_free_rows(rows)
+                outcome = types.SimpleNamespace(kind=result.kind, epsilon=result.epsilon)
+                verdicts[rows] = outcomes.setdefault((result.kind, result.epsilon), outcome)
+                tally["kinds"][result.kind] += 1
+                tally["epsilon_checked"] += result.epsilon is not None
+    checked = tally.pop("epsilon_checked")
+    return tally, {"checked": checked, "failures": 0}, verdicts
+
+
+@pytest.mark.parametrize("jobs", [1, 3, 7])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+def test_exhaustive_scan_equals_the_per_tuple_filter(shape, jobs, monkeypatch):
+    # 4 * jobs chunks of a grid whose blocks of (2B+1)^4 tuples share their
+    # leading rows: at jobs 3 and 7 chunk boundaries cut blocks.  The
+    # classifier looks up the reference's verdicts, so each run costs one
+    # scan, and a tuple the reference did not pass fails it with a KeyError
+    totals, epsilon_checks, verdicts = _per_tuple_report(*shape)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_classify_free_rows", verdicts.__getitem__)
+    report = run_t2_campaign(GridSpec(*shape), jobs=jobs)
+    assert report.totals == totals and report.violation_witnesses == []
+    assert report.epsilon_checks == epsilon_checks
+
+
+@st.composite
+def filter_rows(draw):
+    # rows with zero pairs, repeated pairs (a, k) = (b, l) and pairs on one
+    # line through 0, so that selections of rank <= 1 occur
+    bound = draw(st.integers(1, 4))
+    entry = st.integers(-bound, bound)
+    line = (draw(entry), draw(entry))
+
+    def pair():
+        kind = draw(st.sampled_from(("any", "zero", "line")))
+        if kind == "zero":
+            return (0, 0)
+        if kind == "line":
+            m = draw(st.integers(-2, 2))
+            return (m * line[0], m * line[1])
+        return (draw(entry), draw(entry))
+
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        (a, k) = pair()
+        (b, l) = (a, k) if draw(st.booleans()) else pair()
+        rows.append((a, b, k, l))
+    return tuple(rows)
+
+
+@given(filter_rows())
+@settings(max_examples=400, deadline=None)
+def test_block_filter_equals_the_per_tuple_filter(rows):
+    prefix, (u, s, v, t) = rows[:-1], rows[-1]
+    checks = actions._free_checks(prefix)
+    passes = checks is not None and all(
+        math.gcd(h, (x * v - y * u) * (x * t - y * s)) == 1 for x, y, h in checks
+    )
+    assert passes == actions._free_rows(rows)
+
+    tally = harness._fresh_tally()
+    free = list(harness._block_free(prefix, [rows[-1]], tally))
+    effective = actions._effective_rows(rows)
+    assert (tally["tested"], tally["effective"]) == (1, effective)
+    assert free == ([rows] if effective and passes else [])
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_pool_draws_at_most_one_chunk_past_the_window(jobs, monkeypatch):
-    import concurrent.futures
-
     grid = GridSpec(3, 1, mode="random", count=3000, seed=5)
     expected = run_t2_campaign(grid, jobs=1).comparable()
     drawn, consumed, ahead = [0], [0], []
@@ -389,39 +480,49 @@ def _bump_middle_of_square(p, q):
     return (A, B + 1, C)
 
 
-FAULTS = {
+FAULTS = {  # module, name, fake, message, stage
     "reparametrized first pair": (
-        actions, "_transform_rows", _shift_first_pair, "reparametrization took"
+        actions, "_transform_rows", _shift_first_pair, "reparametrization took", "normalization"
     ),
     "freeness postcondition": (
-        actions, "_transform_rows", _double_second_row, "destroyed effectiveness/freeness"
+        actions,
+        "_transform_rows",
+        _double_second_row,
+        "destroyed effectiveness/freeness",
+        "normalization",
     ),
     "pencil postcondition": (
-        actions, "_forms", _bump_first_form, "broke the differential pencil"
+        actions, "_forms", _bump_first_form, "broke the differential pencil", "normalization"
     ),
     "unit first pair": (
-        classify, "_reduced_first_pair", lambda rows: (2, 0), "is not a unit vector"
+        classify, "_reduced_first_pair", lambda rows: (2, 0), "is not a unit vector", "proof_path"
     ),
     "pencil rank": (
-        classify, "_pencil", lambda forms: (1, None), "relation pencil has rank"
+        classify, "_pencil", lambda forms: (1, None), "relation pencil has rank", "invariant"
     ),
     "degenerate square map": (
-        classify, "_pencil", lambda forms: (2, (1, 1, 1)), "is degenerate"
+        classify, "_pencil", lambda forms: (2, (1, 1, 1)), "is degenerate", "invariant"
     ),
     "square class": (  # discriminant 8: neither a square nor minus one
-        classify, "_pencil", lambda forms: (2, (1, 0, -2)), "outside both admissible square classes"
+        classify,
+        "_pencil",
+        lambda forms: (2, (1, 0, -2)),
+        "outside both admissible square classes",
+        "invariant",
     ),
     "lemma 6.4 re-expansion": (  # FAULT_ROWS take the epsilon = +1 rewrite
-        classify, "_square_of_linear", _bump_middle_of_square, "failed to reduce the pencil to squares"
+        classify,
+        "_square_of_linear",
+        _bump_middle_of_square,
+        "failed to reduce the pencil to squares",
+        "substitution",
     ),
 }
-# lemma 6.4 names the pencil it failed to rewrite, (s1*s2, s1^2 + s2^2) at epsilon = +1
-CLI_WITNESS = {"lemma 6.4 re-expansion": [[0, 1, 0], [1, 0, 1]]}
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
-    module, name, fake, message = FAULTS[fault]
+    module, name, fake, message, stage = FAULTS[fault]
     monkeypatch.setattr(module, name, fake)
 
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
@@ -431,12 +532,17 @@ def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     assert all(message in w["error"] for w in report.violation_witnesses)
     assert [list(r) for r in FAULT_ROWS] in [w["rows"] for w in report.violation_witnesses]
 
+    with pytest.raises(ClassificationViolation) as raised:
+        classify_t2_quotient(TorusActionS3(FAULT_ROWS))
+    assert message in str(raised.value)
+    assert (raised.value.stage, raised.value.witness) == (stage, FAULT_ROWS)
+
     path = tmp_path / "action.json"
     path.write_text(format_action(TorusActionS3(FAULT_ROWS)))
     assert cli_main(["classify", str(path)]) == 2
     record = json.loads(capsys.readouterr().out)
     assert message in record["violations"][0]
-    assert record["witness"] == CLI_WITNESS.get(fault, [list(r) for r in FAULT_ROWS])
+    assert record["witness"] == [list(r) for r in FAULT_ROWS]
 
 
 def test_no_bare_assert_in_package():
@@ -447,6 +553,22 @@ def test_no_bare_assert_in_package():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def test_every_violation_names_its_stage():
+    # campaigns and the CLI tell failures apart by ClassificationViolation.stage
+    package = Path(harness.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == "ClassificationViolation"
+        and "stage" not in {keyword.arg for keyword in node.exc.keywords}
     ]
     assert offenders == []
 
@@ -485,6 +607,9 @@ def test_import_does_not_load_multiprocessing():
 
 def test_bad_unimodular_complement_is_violation(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(exact, "_bezout", lambda a, b: (0, 0))
+    with pytest.raises(ClassificationViolation) as raised:
+        exact.unimodular_complement(1, 1)
+    assert raised.value.stage == "complement"
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
     assert report.totals["violations"] > 0
     assert all("unimodular complement" in w["error"] for w in report.violation_witnesses)
