@@ -329,9 +329,10 @@ def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ..
             "normalization destroyed effectiveness/freeness",
             witness=original, stage="normalization",
         )
-    old_forms = _forms(original)
-    for form, p in zip(_forms(new_rows), perm):
-        if pulled_back(form, m, n, r, s) != old_forms[p]:
+    for (a, b, k, l), p in zip(new_rows, perm):
+        a0, b0, k0, l0 = original[p]
+        old_form = a0 * b0, a0 * l0 + b0 * k0, k0 * l0
+        if pulled_back((a * b, a * l + b * k, k * l), m, n, r, s) != old_form:
             raise ClassificationViolation(
                 "normalization broke the differential pencil",
                 witness=original, stage="normalization",

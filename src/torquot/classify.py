@@ -429,7 +429,7 @@ class ClassificationResult:
 
     ``rank_d3`` (2 or 3) is the rank of the span of ``forms``; each of the
     other ``trailing_s3`` forms adds an S^3 factor.  ``pencil``, the reduced
-    echelon basis of the span, is built on first read; campaigns never read it.
+    echelon basis of the span, is built on first read.  Campaigns build no result.
     """
 
     kind: str
@@ -464,26 +464,35 @@ class ClassificationResult:
         return record
 
 
-def _pencil(forms: Sequence[Form]) -> tuple[int, tuple | None]:
-    """(rank, phi) of the span of the relation forms, from one cross product.
+def _pencil(forms: Sequence[Form], rank: int = 0, u: Form | None = None, phi=None):
+    """(rank, u, phi) of the span of the relation forms, from one cross product.
 
     u is the first nonzero form and phi = u x v for the first form v off u's
-    line, so phi is None below rank 2.  The rank is 3 exactly when phi.w != 0
-    for some form w; at rank 2, phi spans the functionals that kill the span.
+    line; each is None until it exists.  The rank is 3 exactly when phi.w != 0
+    for a later form w; at rank 2, phi spans the functionals that kill the span.
+    A left fold: _pencil(forms[k:], *_pencil(forms[:k])) == _pencil(forms).
     """
-    for u0, u1, u2 in forms:
-        if u0 or u1 or u2:
-            break
-    else:
-        return 0, None
-    for v0, v1, v2 in forms:
-        p0, p1, p2 = phi = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-        if p0 or p1 or p2:
-            for w0, w1, w2 in forms:
-                if p0 * w0 + p1 * w1 + p2 * w2:
-                    return 3, phi
-            return 2, phi
-    return 1, None
+    forms = iter(forms)
+    if rank == 0:
+        u = next((f for f in forms if f[0] or f[1] or f[2]), None)
+        if u is None:
+            return 0, None, None
+    if rank <= 1:
+        u0, u1, u2 = u
+        for v0, v1, v2 in forms:
+            p0, p1, p2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+            if p0 or p1 or p2:
+                phi = p0, p1, p2
+                break
+        else:
+            return 1, u, None
+    if rank <= 2:
+        p0, p1, p2 = phi
+        for w0, w1, w2 in forms:
+            if p0 * w0 + p1 * w1 + p2 * w2:
+                return 3, u, phi
+        return 2, u, phi
+    return 3, u, phi
 
 
 def _ratio(num: int, den: int):
@@ -497,7 +506,7 @@ def _echelon_pencil(forms: Sequence[Form]) -> tuple[BinaryQuadraticForm, ...]:
     At rank 3 it is the identity; at rank 2 the span is the kernel of
     phi = (p0, p1, p2), whose echelon basis is read off the last nonzero p_i.
     """
-    rank, phi = _pencil(forms)
+    rank, _, phi = _pencil(forms)
     if rank < 2:
         raise PreconditionError(f"pencil has rank {rank} < 2")
     p0, p1, p2 = phi
@@ -517,7 +526,7 @@ def _quotient_square_form(forms: Sequence[Form]) -> BinaryQuadraticForm:
     At rank 2 `_pencil`'s phi has the pencil as kernel, so the induced form
     phi(alpha^2, 2*alpha*beta, beta^2) is defined up to a nonzero scalar.
     """
-    rank, phi = _pencil(forms)
+    rank, _, phi = _pencil(forms)
     if rank < 2:
         raise PreconditionError("zero pencil" if rank == 0 else "pencil has rank < 2")
     return BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
@@ -537,33 +546,33 @@ def _proof_path_kind(rows: Sequence[Row]) -> tuple[str, int | None]:
             )
         a2, b2, k2, l2 = norm_rows[1]
         eps, pencil = None, ((bh, 0, 0), (0, a2 * l2 + b2 * k2, k2 * l2))
-    else:
-        eps = _epsilon(norm_rows, bh, lh)
-        if eps != 1:
-            return CP2_CONNSUM_PRODUCT, eps
-        pencil = ((0, 1, 0), (1, 0, 1))  # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2
     try:
+        if lh:
+            eps = _epsilon(norm_rows, bh, lh)
+            if eps != 1:
+                return CP2_CONNSUM_PRODUCT, eps
+            pencil = ((0, 1, 0), (1, 0, 1))  # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2
         lemma64_substitution(*pencil)
-    except ClassificationViolation as exc:  # name the action, not the pencil
+    except ClassificationViolation as exc:  # name the action, not its normalized rows or pencil
         raise ClassificationViolation(str(exc), witness=rows, stage=exc.stage) from exc
     return S2XS2_PRODUCT, eps
 
 
-def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
-    """The classification of at least two rows already known effective and free.
+def _classify_free_rows(rows: Sequence[Row], pencil: tuple) -> tuple[str, int | None]:
+    """(kind, epsilon) of at least two rows already known effective and free.
 
-    Campaigns call this on rows their filter passed; `classify_t2_quotient`
-    calls it after its own checks.
+    pencil is their `_pencil(_forms(rows))`.  Campaigns call this on rows their
+    filter passed, with the pencil folded on from their prefix's;
+    `classify_t2_quotient` calls it after its own checks.
     """
-    forms = tuple(_forms(rows))
-    rank, phi = _pencil(forms)
+    rank, _, phi = pencil
     if rank <= 1:
         raise ClassificationViolation(
             f"relation pencil has rank {rank} < 2 for a free action",
             witness=rows, stage="invariant",
         )
     if rank == 3:
-        return ClassificationResult(T1_S2XS2_PRODUCT, 3, None, forms)
+        return T1_S2XS2_PRODUCT, None
 
     p0, p1, p2 = phi
     disc = 4 * p1 * p1 - 4 * p0 * p2  # of the square map (p0, 2*p1, p2)
@@ -588,7 +597,7 @@ def _classify_free_rows(rows: Sequence[Row]) -> ClassificationResult:
             f"invariant method says {kind}, proof path says {proof_kind}",
             witness=rows, stage="proof_path",
         )
-    return ClassificationResult(kind, 2, eps, forms)
+    return kind, eps
 
 
 def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
@@ -607,7 +616,9 @@ def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
         raise PreconditionError("action is not effective")
     if not is_free(act):
         raise PreconditionError("action is not free")
-    return _classify_free_rows(act.rows)
+    forms = tuple(_forms(act.rows))
+    kind, eps = _classify_free_rows(act.rows, pencil := _pencil(forms))
+    return ClassificationResult(kind, pencil[0], eps, forms)
 
 
 # -- circle quotients of S^5 x prod S^3 ----------------------------------------------

@@ -7,7 +7,7 @@ an error: it is recorded with a reproducible witness and the campaign keeps
 going, because a nonempty witness list is exactly the "theorem falsified"
 signal the harness exists to detect.  The exhaustive odometer is filtered a
 block of (2B+1)^4 tuples at a time: they share their first N-1 rows, whose
-gcds and freeness walk are made once.
+gcds, freeness walk and pencil are made once.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 from math import gcd
 
-from .actions import _effective_rows, _free_checks, _free_rows
+from .actions import _effective_rows, _forms, _free_checks, _free_rows
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
     _classify_free_rows,
+    _pencil,
     enumerate_profiles,
     max_effective_rank,
 )
@@ -125,9 +126,9 @@ class CampaignReport:
         return record
 
 
-def _classify_rows(rows, tally, witnesses):
+def _classify_rows(rows, pencil, tally, witnesses):
     try:
-        result = _classify_free_rows(rows)
+        kind, epsilon = _classify_free_rows(rows, pencil)
     except ClassificationViolation as exc:
         tally["violations"] += 1
         witnesses.append(
@@ -138,8 +139,8 @@ def _classify_rows(rows, tally, witnesses):
             }
         )
         return
-    tally["kinds"][result.kind] += 1
-    if result.epsilon is not None:
+    tally["kinds"][kind] += 1
+    if epsilon is not None:
         tally["epsilon_checked"] += 1
 
 
@@ -179,25 +180,30 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
 
 
 def _drawn_free(actions, tally):
-    """The effective, free tuples of a drawn chunk, each filtered on its own."""
+    """The effective, free tuples of a drawn chunk and their pencils, each on its own."""
     for rows in actions:
         tally["tested"] += 1
         if _effective_rows(rows):
             tally["effective"] += 1
             if _free_rows(rows):
                 tally["free"] += 1
-                yield rows
+                yield rows, _pencil(_forms(rows))
 
 
 def _odometer_free(grid, lo, hi, tally):
-    """The effective, free tuples with odometer index in [lo, hi), a block of
-    last rows per prefix of N-1 rows; a block cut by lo or hi is sliced."""
+    """The effective, free tuples with odometer index in [lo, hi) and their pencils,
+    a block of last rows per prefix of N-1 rows; a block cut by lo or hi is sliced.
+    Each pencil is the prefix's folded on by the last row's form, spelled out
+    as in `_forms` to spare a call per row."""
     bound = grid.coefficient_bound
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
     size = len(last_rows)
     prefixes = islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, None)
     for start, prefix in zip(range(lo - lo % size, hi, size), prefixes):
-        yield from _block_free(prefix, last_rows[max(lo - start, 0):hi - start], tally)
+        state = _pencil(_forms(prefix))
+        for rows in _block_free(prefix, last_rows[max(lo - start, 0):hi - start], tally):
+            a, b, k, l = rows[-1]
+            yield rows, _pencil(((a * b, a * l + b * k, k * l),), *state)
 
 
 def _block_free(prefix, last_rows, tally):
@@ -231,8 +237,8 @@ def _scan(args) -> tuple[dict, list]:
     tally = _fresh_tally()
     witnesses: list = []
     free = _odometer_free(grid, lo, hi, tally) if actions is None else _drawn_free(actions, tally)
-    for rows in free:
-        _classify_rows(rows, tally, witnesses)
+    for rows, pencil in free:
+        _classify_rows(rows, pencil, tally, witnesses)
     return tally, witnesses
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from torquot import (
     BinaryQuadraticForm,
@@ -36,6 +36,7 @@ from torquot.classify import (
     canonical_quotient_model,
     quotient_model,
 )
+from torquot.actions import _forms
 from torquot.exact import rank_int_rows
 
 from conftest import permuted, random_action, random_unimodular, reparametrized
@@ -234,11 +235,51 @@ def form_lists(draw):
 
 @given(form_lists())
 def test_pencil_matches_reference_elimination(forms):
-    rank, _ = _pencil(forms)
+    rank, u, phi = _pencil(forms)
     assert rank == rank_int_rows([f.coefficients() for f in forms])
+    assert u == next((f for f in forms if not f.is_zero()), None)
+    assert (phi is None) == (rank < 2)
     if rank >= 2:
         echelon = [[str(c) for c in f.coefficients()] for f in _echelon_pencil(forms)]
         assert echelon == _reference_echelon(forms)
+
+
+@st.composite
+def relation_rows(draw):
+    """2 to 7 weight rows in [-B, B], B in 1..4, among them rows with a zero pair
+    (a zero form), rows whose form is a multiple of an earlier row's (one pair
+    scaled, or the pairs swapped) and repeated rows."""
+    bound = draw(st.integers(1, 4))
+    entry = st.integers(-bound, bound)
+    rows = []
+    for _ in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(("any", "zero", "scaled", "swapped", "repeated")))
+        if kind == "any" or not rows:
+            row = tuple(draw(entry) for _ in range(4))
+        elif kind == "zero":
+            row = (0, draw(entry), 0, draw(entry))
+        else:
+            a, b, k, l = draw(st.sampled_from(rows))
+            m = draw(st.integers(-3, 3))
+            row = {"scaled": (m * a, b, m * k, l), "swapped": (b, a, l, k)}.get(kind, (a, b, k, l))
+        rows.append(row)
+    return tuple(rows)
+
+
+@given(relation_rows())
+@settings(max_examples=300)
+def test_pencil_fold_is_exact(rows):
+    # the odometer folds a tuple's last form into its prefix's state; any split
+    # of the forms, and one form at a time, gives the pencil of the whole tuple
+    forms = _forms(rows)
+    whole = _pencil(forms)
+    assert whole[0] == rank_int_rows(forms)
+    for k in range(len(forms) + 1):
+        assert _pencil(forms[k:], *_pencil(forms[:k])) == whole
+    state = _pencil(())
+    for form in forms:
+        state = _pencil((form,), *state)
+    assert state == whole
 
 
 # -- epsilon --------------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_verify_t2_refuses_bounds_past_32_bit_words(capsys):
 def test_verify_t2_violation_exit_code(capsys, monkeypatch):
     import torquot.harness as harness
 
-    def explode(rows):
+    def explode(rows, pencil):
         raise ClassificationViolation("forced", witness=rows)
 
     monkeypatch.setattr(harness, "_classify_free_rows", explode)

@@ -7,7 +7,6 @@ import math
 import random
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -135,9 +134,9 @@ def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
             chunks.append((chunk[1], chunk[2], list(seen), future.result()[0]))
             return future
 
-    def recording_classify(rows):
+    def recording_classify(rows, pencil):
         seen.append(rows)
-        return classify._classify_free_rows(rows)
+        return classify._classify_free_rows(rows, pencil)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_classify_free_rows", recording_classify)
@@ -155,11 +154,11 @@ def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
         )
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _per_tuple_report(n_factors, bound):
     # the campaign's totals and epsilon count, tallied one odometer tuple at a
-    # time with the per-tuple filter, and each free tuple's (kind, epsilon),
-    # one shared object per outcome
+    # time with the per-tuple filter and the pencil of the whole tuple, and
+    # each free tuple's (kind, epsilon), one shared object per outcome
     tally, verdicts, outcomes = harness._fresh_tally(), {}, {}
     row_values = list(itertools.product(range(-bound, bound + 1), repeat=4))
     for rows in itertools.product(row_values, repeat=n_factors):
@@ -168,11 +167,11 @@ def _per_tuple_report(n_factors, bound):
             tally["effective"] += 1
             if actions._free_rows(rows):
                 tally["free"] += 1
-                result = classify._classify_free_rows(rows)
-                outcome = types.SimpleNamespace(kind=result.kind, epsilon=result.epsilon)
-                verdicts[rows] = outcomes.setdefault((result.kind, result.epsilon), outcome)
-                tally["kinds"][result.kind] += 1
-                tally["epsilon_checked"] += result.epsilon is not None
+                pencil = classify._pencil(actions._forms(rows))
+                outcome = classify._classify_free_rows(rows, pencil)
+                verdicts[rows] = outcomes.setdefault(outcome, outcome)
+                tally["kinds"][outcome[0]] += 1
+                tally["epsilon_checked"] += outcome[1] is not None
     checked = tally.pop("epsilon_checked")
     return tally, {"checked": checked, "failures": 0}, verdicts
 
@@ -186,10 +185,34 @@ def test_exhaustive_scan_equals_the_per_tuple_filter(shape, jobs, monkeypatch):
     # scan, and a tuple the reference did not pass fails it with a KeyError
     totals, epsilon_checks, verdicts = _per_tuple_report(*shape)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(harness, "_classify_free_rows", verdicts.__getitem__)
+    monkeypatch.setattr(harness, "_classify_free_rows", lambda rows, pencil: verdicts[rows])
     report = run_t2_campaign(GridSpec(*shape), jobs=jobs)
     assert report.totals == totals and report.violation_witnesses == []
     assert report.epsilon_checks == epsilon_checks
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+def test_block_pencils_equal_the_per_tuple_pencils(shape, monkeypatch):
+    # the odometer folds each free last row's form into its prefix's pencil:
+    # that must be the whole tuple's pencil, give the reference's (kind,
+    # epsilon), and send a rank-2 tuple down the proof path exactly once
+    _, _, verdicts = _per_tuple_report(*shape)
+    proof_path = _count_calls(monkeypatch, classify, "_proof_path_kind")
+    rank2 = [0]
+
+    def checked_classify(rows, pencil):
+        assert pencil == classify._pencil(actions._forms(rows))
+        proof_path.clear()
+        outcome = classify._classify_free_rows(rows, pencil)
+        assert outcome == verdicts[rows]
+        assert proof_path == ([] if outcome[0] == "T1_S2xS2_PRODUCT" else [rows])
+        rank2[0] += len(proof_path)
+        return outcome
+
+    monkeypatch.setattr(harness, "_classify_free_rows", checked_classify)
+    report = run_t2_campaign(GridSpec(*shape), jobs=1)
+    assert report.totals["free"] == len(verdicts)
+    assert rank2[0] == sum(kind != "T1_S2xS2_PRODUCT" for kind, _ in verdicts.values()) > 0
 
 
 @st.composite
@@ -312,12 +335,12 @@ def test_violation_witnesses_recorded(monkeypatch):
     # force violations for one specific action to exercise the reporting path
     target = ((1, 1, 0, 0), (0, 0, 1, 1))
 
-    def fake_classify(rows):
+    def fake_classify(rows, pencil):
         if rows == target:
             raise ClassificationViolation(
                 "epsilon identity fails (forced)", witness=rows, stage="epsilon"
             )
-        return classify._classify_free_rows(rows)
+        return classify._classify_free_rows(rows, pencil)
 
     monkeypatch.setattr(harness, "_classify_free_rows", fake_classify)
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
@@ -329,13 +352,13 @@ def test_violation_witnesses_recorded(monkeypatch):
     # the recorded witness reproduces the violation through the same classifier
     refed = TorusActionS3(tuple(tuple(r) for r in witness["rows"]))
     with pytest.raises(ClassificationViolation):
-        fake_classify(refed.rows)
+        fake_classify(refed.rows, classify._pencil(actions._forms(refed.rows)))
     # and the genuine classifier handles the rows cleanly (the theorem holds)
     assert classify_t2_quotient(refed).kind == "S2xS2_PRODUCT"
 
 
 def test_witnesses_sorted_canonically(monkeypatch):
-    def fake_classify(rows):
+    def fake_classify(rows, pencil):
         raise ClassificationViolation("forced", witness=rows)
 
     monkeypatch.setattr(harness, "_classify_free_rows", fake_classify)
@@ -398,6 +421,48 @@ def test_campaigns_never_build_the_pencil(monkeypatch):
     assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
 
 
+# classify_t2_quotient's records of FAULT_ROWS and of one action of each kind,
+# rank-2 echelon bases with Fraction entries among them
+RESULT_RECORDS = {
+    ((1, 1, 1, 0), (0, 0, 1, 1)): {
+        "kind": "S2xS2_PRODUCT", "trailing_s3": 0, "rank_d3": 2, "epsilon": 1,
+        "pencil": [["1", "1", "0"], ["0", "0", "1"]], "violations": [],
+    },
+    ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)): {
+        "kind": "S2xS2_PRODUCT", "trailing_s3": 1, "rank_d3": 2,
+        "pencil": [["1", "0", "1"], ["0", "1", "0"]], "violations": [],
+    },
+    ((2, 1, 1, 0), (-1, 1, -1, 1), (1, -2, 1, -2)): {
+        "kind": "S2xS2_PRODUCT", "trailing_s3": 1, "rank_d3": 2, "epsilon": 1,
+        "pencil": [["1", "0", "-1/3"], ["0", "1", "2/3"]], "violations": [],
+    },
+    ((-1, -1, 1, 0), (2, 0, -1, 1), (0, 1, 0, -2)): {
+        "kind": "CP2_CONNSUM_PRODUCT", "trailing_s3": 1, "rank_d3": 2, "epsilon": -1,
+        "pencil": [["1", "0", "-1/2"], ["0", "1", "-1/2"]], "violations": [],
+    },
+    ((1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1)): {
+        "kind": "T1_S2xS2_PRODUCT", "trailing_s3": 1, "rank_d3": 3,
+        "pencil": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "violations": [],
+    },
+}
+
+
+def test_campaigns_build_no_result_objects(monkeypatch):
+    # campaigns tally the classifier's (kind, epsilon); only
+    # classify_t2_quotient builds a ClassificationResult, for its record
+    grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
+    expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
+
+    def forbidden(*args):
+        raise AssertionError("a campaign built a ClassificationResult")
+
+    monkeypatch.setattr(classify, "ClassificationResult", forbidden)
+    assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
+    monkeypatch.undo()
+    for rows, record in RESULT_RECORDS.items():
+        assert classify_t2_quotient(TorusActionS3(rows)).to_record() == record
+
+
 def test_campaigns_build_no_fraction(monkeypatch):
     # lemma 6.4 and the unimodular complement run on ints: a campaign that
     # built a Fraction would hit the stand-in and abort
@@ -451,7 +516,7 @@ def test_campaign_filters_each_action_once(monkeypatch):
 
 FAULT_ROWS = ((1, 1, 1, 0), (0, 0, 1, 1))  # free, rank 2, k1 != 0 before normalizing
 _transform_rows = actions._transform_rows
-_forms = actions._forms
+_pulled_back = actions.pulled_back
 _square_of_linear = classify._square_of_linear
 
 
@@ -468,11 +533,9 @@ def _double_second_row(rows, m, n, r, s):
     return tuple(out)
 
 
-def _bump_first_form(rows):
-    forms = _forms(rows)
-    f = forms[0]
-    forms[0] = (f[0] + 1, f[1], f[2])
-    return forms
+def _bump_pulled_back(form, p, q, r, s):
+    A, B, C = _pulled_back(form, p, q, r, s)
+    return (A + 1, B, C)
 
 
 def _bump_middle_of_square(p, q):
@@ -492,21 +555,29 @@ FAULTS = {  # module, name, fake, message, stage
         "normalization",
     ),
     "pencil postcondition": (
-        actions, "_forms", _bump_first_form, "broke the differential pencil", "normalization"
+        actions, "pulled_back", _bump_pulled_back, "broke the differential pencil", "normalization"
     ),
     "unit first pair": (
         classify, "_reduced_first_pair", lambda rows: (2, 0), "is not a unit vector", "proof_path"
     ),
-    "pencil rank": (
-        classify, "_pencil", lambda forms: (1, None), "relation pencil has rank", "invariant"
+    "pencil rank": (  # a fake _pencil takes the folded state too
+        classify,
+        "_pencil",
+        lambda forms, *state: (1, None, None),
+        "relation pencil has rank",
+        "invariant",
     ),
     "degenerate square map": (
-        classify, "_pencil", lambda forms: (2, (1, 1, 1)), "is degenerate", "invariant"
+        classify,
+        "_pencil",
+        lambda forms, *state: (2, None, (1, 1, 1)),
+        "is degenerate",
+        "invariant",
     ),
     "square class": (  # discriminant 8: neither a square nor minus one
         classify,
         "_pencil",
-        lambda forms: (2, (1, 0, -2)),
+        lambda forms, *state: (2, None, (1, 0, -2)),
         "outside both admissible square classes",
         "invariant",
     ),
@@ -517,13 +588,19 @@ FAULTS = {  # module, name, fake, message, stage
         "failed to reduce the pencil to squares",
         "substitution",
     ),
+    "epsilon sign": (  # every determinant product comes out 0
+        classify, "det2", lambda a, b, c, d: 0, "is not a sign", "epsilon"
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     module, name, fake, message, stage = FAULTS[fault]
-    monkeypatch.setattr(module, name, fake)
+    original = getattr(module, name)
+    for holder in (actions, classify, harness):  # the fake replaces every copy
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, fake)
 
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
     totals = report.totals
