@@ -111,6 +111,17 @@ def _effective_rows(rows: Sequence[Row]) -> bool:
     return g_ab == 1 and g_kl == 1
 
 
+def _effective_last_rows(prefix: Sequence[Row], last_rows: Sequence[Row]) -> Sequence[Row]:
+    """The rows r of last_rows, in order, for which prefix + (r,) is effective."""
+    g_ab = g_kl = 0
+    for a, b, k, l in prefix:
+        g_ab = math.gcd(g_ab, a, b)
+        g_kl = math.gcd(g_kl, k, l)
+    if g_ab == 1 == g_kl:
+        return last_rows
+    return [r for r in last_rows if math.gcd(g_ab, r[0], r[1]) == 1 == math.gcd(g_kl, r[2], r[3])]
+
+
 def is_effective(act: TorusActionS3) -> bool:
     return _effective_rows(act.rows)
 
@@ -165,15 +176,16 @@ def _free_rows(rows: Sequence[Row]) -> bool:
     return False
 
 
-def _free_checks(prefix: Sequence[Row]) -> list[tuple[int, int, int]] | None:
-    """`_free_rows`'s walk over the rows before the last, for any last row.
+def _free_last_rows(prefix: Sequence[Row], last_rows: Sequence[Row]) -> Sequence[Row]:
+    """The rows r of last_rows, in order, for which prefix + (r,) is free.
 
-    The carried moduli and the early return depend only on the rows walked;
-    the last row is one more gcd term in the h of each pivot.  None when the
-    moduli never empty (no last row frees the action), else the lines
-    (x, y, h) with h != 1: (u, s, v, t) frees iff gcd(h, (x*v - y*u)*(x*t - y*s)) == 1.
+    `_free_rows`'s walk over the prefix: the carried moduli depend only on
+    the rows walked, and a last row (u, s, v, t) is one more gcd term in the
+    h of each pivot line (x, y).  So a line whose h over the prefix is not 1
+    keeps the rows with gcd(h, (x*v - y*u)*(x*t - y*s)) == 1.  () when the
+    moduli never empty: no last row frees the action.
     """
-    moduli, checks = {0}, []
+    moduli = {0}
     for i, (a, b, k, l) in enumerate(prefix):
         if not (a or k) or not (b or l):
             continue
@@ -183,16 +195,25 @@ def _free_checks(prefix: Sequence[Row]) -> list[tuple[int, int, int]] | None:
             g = math.gcd(x, y)
             x, y = x // g, y // g
             for c in moduli:
-                h = math.gcd(c, *((x * v - y * u) * (x * t - y * s) for u, s, v, t in later))
-                if h != 1:
-                    checks.append((x, y, h))
+                h = c
+                for u, s, v, t in later:
+                    h = math.gcd(h, (x * v - y * u) * (x * t - y * s))
+                    if h == 1:
+                        break
+                else:
+                    last_rows = [
+                        r for r in last_rows
+                        if math.gcd(h, (x * r[2] - y * r[0]) * (x * r[3] - y * r[1])) == 1
+                    ]
+                    if not last_rows:
+                        return last_rows
                 c = math.gcd(c, g)
                 if c != 1:
                     carried.add(c)
         if not carried:
-            return checks
+            return last_rows
         moduli = carried
-    return None
+    return ()
 
 
 def is_free(act: TorusActionS3) -> bool:

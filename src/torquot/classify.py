@@ -427,15 +427,17 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
 class ClassificationResult:
     """The verdict, with the integer relation forms it was decided from.
 
-    ``rank_d3`` (2 or 3) is the rank of the span of ``forms``; each of the
-    other ``trailing_s3`` forms adds an S^3 factor.  ``pencil``, the reduced
-    echelon basis of the span, is built on first read.  Campaigns build no result.
+    ``rank_d3`` (2 or 3) is the rank of the span of ``forms`` and ``phi`` the
+    cross product of its `_pencil` state; each of the other ``trailing_s3``
+    forms adds an S^3 factor.  ``pencil``, the reduced echelon basis of the
+    span, is read off ``phi`` on first read.  Campaigns build no result.
     """
 
     kind: str
     rank_d3: int
     epsilon: int | None
     forms: tuple[Form, ...]
+    phi: Form
 
     def __post_init__(self):
         if self.kind not in T2_KINDS:
@@ -453,7 +455,7 @@ class ClassificationResult:
 
     @cached_property
     def pencil(self) -> tuple[BinaryQuadraticForm, ...]:
-        return _echelon_pencil(self.forms)
+        return _echelon_pencil(self.rank_d3, self.phi)
 
     def to_record(self) -> dict:
         record = {"kind": self.kind, "trailing_s3": self.trailing_s3, "rank_d3": self.rank_d3}
@@ -500,15 +502,13 @@ def _ratio(num: int, den: int):
     return Fraction(num, den) if num % den else num // den
 
 
-def _echelon_pencil(forms: Sequence[Form]) -> tuple[BinaryQuadraticForm, ...]:
-    """Reduced row echelon basis of the span of rank-2 or rank-3 relation forms.
+def _echelon_pencil(rank: int, phi: Form) -> tuple[BinaryQuadraticForm, ...]:
+    """Reduced row echelon basis of a span of relation forms of rank 2 or 3,
+    read off the rank and phi of its `_pencil` state.
 
     At rank 3 it is the identity; at rank 2 the span is the kernel of
     phi = (p0, p1, p2), whose echelon basis is read off the last nonzero p_i.
     """
-    rank, _, phi = _pencil(forms)
-    if rank < 2:
-        raise PreconditionError(f"pencil has rank {rank} < 2")
     p0, p1, p2 = phi
     F = BinaryQuadraticForm
     if rank == 3:
@@ -618,7 +618,7 @@ def classify_t2_quotient(act: TorusActionS3) -> ClassificationResult:
         raise PreconditionError("action is not free")
     forms = tuple(_forms(act.rows))
     kind, eps = _classify_free_rows(act.rows, pencil := _pencil(forms))
-    return ClassificationResult(kind, pencil[0], eps, forms)
+    return ClassificationResult(kind, pencil[0], eps, forms, pencil[2])
 
 
 # -- circle quotients of S^5 x prod S^3 ----------------------------------------------

@@ -99,40 +99,26 @@ def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
 def unimodular_complement(m: int, n: int) -> Matrix2:
     """Complete a coprime pair (m, n) to a determinant-1 integer matrix.
 
-    Returns ((m, n), (r, s)) with m*s - n*r = 1, found by the extended
-    Euclidean algorithm.  The Bezout family (r + t*m, s + t*n) is searched
-    for the representative with smallest |r|, then smallest |s|.
+    Returns ((m, n), (r, s)) with m*s - n*r = 1 and, over the family
+    (r + t*m, s + t*n), the smallest |r|, then the smallest |s|.  For m != 0,
+    r = -n's inverse mod |m| in [0, |m|) and r - |m| straddle 0, so one of the
+    two is the minimum.  For m = 0, n = +-1 pins r = -n, and s = 0 is smallest.
     """
     if (m, n) == (0, 0) or math.gcd(m, n) != 1:
         raise PreconditionError(f"({m}, {n}) is not a coprime pair")
-    x, y = _bezout(m, n)  # extended Euclid: x*m + y*n == 1
-    r, s = -y, x
-    if m != 0:
-        t = -r // m  # r + t*m and r + (t+1)*m straddle 0: any other t has larger |r|
-        r, s = r + t * m, s + t * n
-        if (abs(r + m), abs(s + n)) < (abs(r), abs(s)):
-            r, s = r + m, s + n
+    if m:
+        r = pow(-n, -1, abs(m))
+        s = (1 + n * r) // m
+        r1, s1 = (r - m, s - n) if m > 0 else (r + m, s + n)  # r1 = r - |m|
+        if (abs(r1), abs(s1)) < (abs(r), abs(s)):
+            r, s = r1, s1
     else:
-        s = 0  # r is pinned by -n*r == 1; s is free, smallest |s| is 0
+        r, s = -n, 0
     if m * s - n * r != 1:
         raise ClassificationViolation(
             f"unimodular complement of ({m}, {n}) failed", witness=(m, n), stage="complement"
         )
     return (m, n), (r, s)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(x, y) with x*a + y*b == gcd-sign-adjusted 1 for coprime inputs."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    r0, r1 = a, b
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0 < 0:
-        x0, y0 = -x0, -y0
-    return x0, y0
 
 
 def is_perfect_square(n: int) -> bool:

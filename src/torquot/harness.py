@@ -6,8 +6,10 @@ survivor, and tallies the outcome.  A ClassificationViolation is data, not
 an error: it is recorded with a reproducible witness and the campaign keeps
 going, because a nonempty witness list is exactly the "theorem falsified"
 signal the harness exists to detect.  The exhaustive odometer is filtered a
-block of (2B+1)^4 tuples at a time: they share their first N-1 rows, whose
-gcds, freeness walk and pencil are made once.
+block of (2B+1)^4 tuples at a time, by `actions`' block filters: they share
+their first N-1 rows, whose gcds, freeness walk and pencil are made once.  The
+harness does no row arithmetic of its own: it tallies the lengths of the
+blocks the filters keep and folds each survivor's form into the pencil.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
@@ -28,9 +30,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice, product
-from math import gcd
 
-from .actions import _effective_rows, _forms, _free_checks, _free_rows
+from .actions import _effective_last_rows, _effective_rows, _forms, _free_last_rows, _free_rows
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
@@ -193,37 +194,22 @@ def _drawn_free(actions, tally):
 def _odometer_free(grid, lo, hi, tally):
     """The effective, free tuples with odometer index in [lo, hi) and their pencils,
     a block of last rows per prefix of N-1 rows; a block cut by lo or hi is sliced.
-    Each pencil is the prefix's folded on by the last row's form, spelled out
-    as in `_forms` to spare a call per row."""
+    Each pencil is the prefix's folded on by the last row's form."""
     bound = grid.coefficient_bound
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
     size = len(last_rows)
     prefixes = islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, None)
     for start, prefix in zip(range(lo - lo % size, hi, size), prefixes):
-        state = _pencil(_forms(prefix))
-        for rows in _block_free(prefix, last_rows[max(lo - start, 0):hi - start], tally):
-            a, b, k, l = rows[-1]
-            yield rows, _pencil(((a * b, a * l + b * k, k * l),), *state)
-
-
-def _block_free(prefix, last_rows, tally):
-    """The effective, free tuples prefix + (row,) for row in last_rows, tested
-    against the prefix's gcds and freeness walk (_free_checks), made once."""
-    tally["tested"] += len(last_rows)
-    a, b, k, l = zip(*prefix)
-    g_ab, g_kl = gcd(*a, *b), gcd(*k, *l)
-    if g_ab != 1 or g_kl != 1:
-        last_rows = [r for r in last_rows if gcd(g_ab, r[0], r[1]) == 1 == gcd(g_kl, r[2], r[3])]
-    tally["effective"] += len(last_rows)
-    checks = _free_checks(prefix)
-    for row in last_rows if checks is not None else ():
-        u, s, v, t = row
-        for x, y, h in checks:
-            if gcd(h, (x * v - y * u) * (x * t - y * s)) != 1:
-                break
-        else:
-            tally["free"] += 1
-            yield prefix + (row,)
+        block = last_rows[max(lo - start, 0):hi - start]
+        tally["tested"] += len(block)
+        block = _effective_last_rows(prefix, block)
+        tally["effective"] += len(block)
+        block = _free_last_rows(prefix, block)
+        tally["free"] += len(block)
+        if block:
+            state = _pencil(_forms(prefix))
+            for row, form in zip(block, _forms(block)):
+                yield prefix + (row,), _pencil((form,), *state)
 
 
 def _scan(args) -> tuple[dict, list]:

@@ -240,7 +240,7 @@ def test_pencil_matches_reference_elimination(forms):
     assert u == next((f for f in forms if not f.is_zero()), None)
     assert (phi is None) == (rank < 2)
     if rank >= 2:
-        echelon = [[str(c) for c in f.coefficients()] for f in _echelon_pencil(forms)]
+        echelon = [[str(c) for c in f.coefficients()] for f in _echelon_pencil(rank, phi)]
         assert echelon == _reference_echelon(forms)
 
 

@@ -131,22 +131,30 @@ def test_unimodular_complement_rejects():
         unimodular_complement(0, 0)
 
 
-@given(st.integers(-60, 60), st.integers(-60, 60))
+ENTRIES = st.integers(-60, 60) | st.integers(-2 ** 64, 2 ** 64)
+
+
+@given(ENTRIES, ENTRIES)
 def test_unimodular_complement_property(m, n):
     if (m, n) == (0, 0) or math.gcd(m, n) != 1:
         return
     (a, b), (r, s) = unimodular_complement(m, n)
     assert (a, b) == (m, n)
     assert a * s - b * r == 1
-    # tie-break: smallest |r|, then smallest |s|, over the Bezout family; its
-    # minimiser has |r| <= 30 and |s| <= 31 for these pairs, inside the scan
-    family = [
-        (rr, ss)
-        for rr in range(-61, 62)
-        for ss in range(-61, 62)
-        if m * ss - n * rr == 1
-    ]
-    assert (r, s) == min(family, key=lambda rs: (abs(rs[0]), abs(rs[1])))
+    # tie-break: smallest |r|, then smallest |s|, over the Bezout family
+    # (r + t*m, s + t*n).  |r + t*m| and |s + t*n| are convex in t, so a
+    # complement that beats both neighbours t = +-1 is the minimum
+    for t in (-1, 1):
+        assert (abs(r + t * m), abs(s + t * n)) > (abs(r), abs(s))
+    if max(abs(m), abs(n)) <= 60:
+        # and by a scan: the minimiser has |r| <= 30 and |s| <= 31 here
+        family = [
+            (rr, ss)
+            for rr in range(-61, 62)
+            for ss in range(-61, 62)
+            if m * ss - n * rr == 1
+        ]
+        assert (r, s) == min(family, key=lambda rs: (abs(rs[0]), abs(rs[1])))
 
 
 def test_is_rational_square_examples():

@@ -216,7 +216,7 @@ def test_block_pencils_equal_the_per_tuple_pencils(shape, monkeypatch):
 
 
 @st.composite
-def filter_rows(draw):
+def filter_rows(draw, sizes=st.integers(2, 6)):
     # rows with zero pairs, repeated pairs (a, k) = (b, l) and pairs on one
     # line through 0, so that selections of rank <= 1 occur
     bound = draw(st.integers(1, 4))
@@ -233,28 +233,26 @@ def filter_rows(draw):
         return (draw(entry), draw(entry))
 
     rows = []
-    for _ in range(draw(st.integers(2, 6))):
+    for _ in range(draw(sizes)):
         (a, k) = pair()
         (b, l) = (a, k) if draw(st.booleans()) else pair()
         rows.append((a, b, k, l))
     return tuple(rows)
 
 
-@given(filter_rows())
+@given(filter_rows(st.integers(2, 12)), st.data())
 @settings(max_examples=400, deadline=None)
-def test_block_filter_equals_the_per_tuple_filter(rows):
-    prefix, (u, s, v, t) = rows[:-1], rows[-1]
-    checks = actions._free_checks(prefix)
-    passes = checks is not None and all(
-        math.gcd(h, (x * v - y * u) * (x * t - y * s)) == 1 for x, y, h in checks
-    )
-    assert passes == actions._free_rows(rows)
-
-    tally = harness._fresh_tally()
-    free = list(harness._block_free(prefix, [rows[-1]], tally))
-    effective = actions._effective_rows(rows)
-    assert (tally["tested"], tally["effective"]) == (1, effective)
-    assert free == ([rows] if effective and passes else [])
+def test_block_filters_equal_the_per_tuple_filters(rows, data):
+    # a prefix of 1 to 5 rows and a block of 1 to 30 last rows, all drawn
+    # around one line; the block repeats rows, its own and the prefix's
+    prefix = rows[:data.draw(st.integers(1, min(5, len(rows) - 1)))]
+    block = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=30))
+    assert list(actions._effective_last_rows(prefix, block)) == [
+        r for r in block if actions._effective_rows(prefix + (r,))
+    ]
+    assert list(actions._free_last_rows(prefix, block)) == [
+        r for r in block if actions._free_rows(prefix + (r,))
+    ]
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -414,7 +412,7 @@ def test_campaigns_never_build_the_pencil(monkeypatch):
     grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
     expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
 
-    def forbidden(forms):
+    def forbidden(rank, phi):
         raise AssertionError("a campaign built the echelon pencil")
 
     monkeypatch.setattr(classify, "_echelon_pencil", forbidden)
@@ -463,6 +461,16 @@ def test_campaigns_build_no_result_objects(monkeypatch):
         assert classify_t2_quotient(TorusActionS3(rows)).to_record() == record
 
 
+def test_classify_and_record_scan_the_pencil_once(monkeypatch):
+    # the record's echelon basis is read off the state the verdict was
+    # decided from, not from a second scan of the forms
+    scans = _count_calls(monkeypatch, classify, "_pencil")
+    for rows, record in RESULT_RECORDS.items():
+        scans.clear()
+        assert classify_t2_quotient(TorusActionS3(rows)).to_record() == record
+        assert len(scans) == 1
+
+
 def test_campaigns_build_no_fraction(monkeypatch):
     # lemma 6.4 and the unimodular complement run on ints: a campaign that
     # built a Fraction would hit the stand-in and abort
@@ -483,9 +491,9 @@ def _count_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
 
-    def counted(rows):
+    def counted(rows, *state):
         calls.append(rows)
-        return original(rows)
+        return original(rows, *state)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -683,7 +691,9 @@ def test_import_does_not_load_multiprocessing():
 
 
 def test_bad_unimodular_complement_is_violation(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(exact, "_bezout", lambda a, b: (0, 0))
+    # a NaN "inverse" fails m*s - n*r == 1 for every pair, m = +-1 included,
+    # where every integer is an inverse mod |m|
+    monkeypatch.setattr(exact, "pow", lambda *args: math.nan, raising=False)
     with pytest.raises(ClassificationViolation) as raised:
         exact.unimodular_complement(1, 1)
     assert raised.value.stage == "complement"
