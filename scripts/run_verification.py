@@ -4,13 +4,16 @@
 Runs the exhaustive three-factor grid, the seeded four-factor sample, and
 the profile reproduction campaign, printing one report per line.  Exits 2
 if any campaign records a violation (i.e. a classification theorem failed
-on some input), mirroring the CLI contract.
+on some input), and 1 with `error: ...` on stderr if a campaign's
+preconditions fail (say an exhaustive --bound above the mask bound),
+mirroring the CLI contract.
 """
 
 import argparse
 import json
 import sys
 
+from torquot.errors import PreconditionError
 from torquot.harness import GridSpec, run_profile_campaign, run_t2_campaign
 
 
@@ -36,7 +39,11 @@ def main() -> int:
     ]
     violations = 0
     for name, runner in campaigns:
-        report = runner()
+        try:
+            report = runner()
+        except PreconditionError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
         record = report.to_record()
         record["campaign"] = name
         print(json.dumps(record, sort_keys=True))

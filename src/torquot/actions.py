@@ -10,9 +10,14 @@ selection of one exponent pair per factor generates the full weight lattice.
 A selection fails exactly when it lies in a sublattice of prime index p, the
 preimage of a line in F_p^2, so the action is free iff no prime p and line
 L in F_p^2 hold one exponent pair of every factor mod p; `_free_rows` decides
-that in polynomial time.  Circle actions on products of odd spheres carry
-one weight per complex coordinate and the analogous one-weight-per-factor
-selection criterion: every selection must have gcd 1.
+that in polynomial time.  With entries in [-B, B] the primes p <= 2B^2 are
+enough: a selection fails iff the gcd d of its 2x2 minors is not 1; for d > 1
+a prime p | d divides a nonzero minor, so p <= 2B^2, and for d = 0 the
+selection has rank <= 1 and lies on a line mod 2.  For B <= MASK_BOUND
+`_row_masks` gives each row a bitmask of its failures, and the AND of a
+tuple's masks decides both properties.  Circle actions on products of odd
+spheres carry one weight per complex coordinate and the analogous
+one-weight-per-factor selection criterion: every selection must have gcd 1.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -111,17 +118,6 @@ def _effective_rows(rows: Sequence[Row]) -> bool:
     return g_ab == 1 and g_kl == 1
 
 
-def _effective_last_rows(prefix: Sequence[Row], last_rows: Sequence[Row]) -> Sequence[Row]:
-    """The rows r of last_rows, in order, for which prefix + (r,) is effective."""
-    g_ab = g_kl = 0
-    for a, b, k, l in prefix:
-        g_ab = math.gcd(g_ab, a, b)
-        g_kl = math.gcd(g_kl, k, l)
-    if g_ab == 1 == g_kl:
-        return last_rows
-    return [r for r in last_rows if math.gcd(g_ab, r[0], r[1]) == 1 == math.gcd(g_kl, r[2], r[3])]
-
-
 def is_effective(act: TorusActionS3) -> bool:
     return _effective_rows(act.rows)
 
@@ -176,44 +172,43 @@ def _free_rows(rows: Sequence[Row]) -> bool:
     return False
 
 
-def _free_last_rows(prefix: Sequence[Row], last_rows: Sequence[Row]) -> Sequence[Row]:
-    """The rows r of last_rows, in order, for which prefix + (r,) is free.
+MASK_BOUND = 4  # the largest bound `_row_masks` tabulates: 177 bits, 6,561 rows
 
-    `_free_rows`'s walk over the prefix: the carried moduli depend only on
-    the rows walked, and a last row (u, s, v, t) is one more gcd term in the
-    h of each pivot line (x, y).  So a line whose h over the prefix is not 1
-    keeps the rows with gcd(h, (x*v - y*u)*(x*t - y*s)) == 1.  () when the
-    moduli never empty: no last row frees the action.
+
+@lru_cache(maxsize=None)
+def _row_masks(bound: int) -> tuple[dict[Row, int], int]:
+    """(table, effective bits): a bitmask for each row with entries in [-bound, bound].
+
+    Bit i stands for one way a tuple can fail, and a tuple fails that way iff
+    each of its rows has bit i set.  So for m the AND of a tuple's row masks:
+    effective iff m & effective bits == 0, effective and free iff m == 0.
+    Effectiveness bits: (a, b) == (0, 0), and a prime q <= bound divides a and b
+    (a nonzero gcd's primes are <= bound); likewise (k, l).  Freeness bits: a
+    line of F_p^2, p <= 2 bound^2 a prime, holds (a, k) or (b, l) mod p.
     """
-    moduli = {0}
-    for i, (a, b, k, l) in enumerate(prefix):
-        if not (a or k) or not (b or l):
-            continue
-        later = prefix[i + 1:]
-        carried = set()
-        for x, y in ((a, k),) if a == b and k == l else ((a, k), (b, l)):
-            g = math.gcd(x, y)
-            x, y = x // g, y // g
-            for c in moduli:
-                h = c
-                for u, s, v, t in later:
-                    h = math.gcd(h, (x * v - y * u) * (x * t - y * s))
-                    if h == 1:
-                        break
-                else:
-                    last_rows = [
-                        r for r in last_rows
-                        if math.gcd(h, (x * r[2] - y * r[0]) * (x * r[3] - y * r[1])) == 1
-                    ]
-                    if not last_rows:
-                        return last_rows
-                c = math.gcd(c, g)
-                if c != 1:
-                    carried.add(c)
-        if not carried:
-            return last_rows
-        moduli = carried
-    return ()
+    values = range(-bound, bound + 1)
+    primes = [p for p in range(2, 2 * bound * bound + 1) if all(p % q for q in range(2, p))]
+    small = [q for q in primes if q <= bound]
+    shift = 2 + 2 * len(small)  # the effectiveness bits lie below
+    divides, lines = {}, {}
+    for x, y in product(values, repeat=2):
+        g = math.gcd(x, y)  # even bits: g == 0, then q | g for each small prime q
+        divides[x, y] = (g == 0) | sum(1 << 2 * i for i, q in enumerate(small, 1) if g % q == 0)
+        m, offset = 0, shift
+        for p in primes:  # bits offset + t: the line through (1, t); offset + p: x = 0
+            if x % p:
+                m |= 1 << offset + y * pow(x, -1, p) % p
+            elif y % p:
+                m |= 1 << offset + p
+            else:
+                m |= (1 << p + 1) - 1 << offset  # (x, y) is 0 mod p: on every line
+            offset += p + 1
+        lines[x, y] = m
+    table = {
+        (a, b, k, l): divides[a, b] | divides[k, l] << 1 | lines[a, k] | lines[b, l]
+        for a, b, k, l in product(values, repeat=4)
+    }
+    return table, (1 << shift) - 1
 
 
 def is_free(act: TorusActionS3) -> bool:

@@ -5,11 +5,11 @@ sampling), filters to effective then free actions, classifies every
 survivor, and tallies the outcome.  A ClassificationViolation is data, not
 an error: it is recorded with a reproducible witness and the campaign keeps
 going, because a nonempty witness list is exactly the "theorem falsified"
-signal the harness exists to detect.  The exhaustive odometer is filtered a
-block of (2B+1)^4 tuples at a time, by `actions`' block filters: they share
-their first N-1 rows, whose gcds, freeness walk and pencil are made once.  The
-harness does no row arithmetic of its own: it tallies the lengths of the
-blocks the filters keep and folds each survivor's form into the pencil.
+signal the harness exists to detect.  Up to MASK_BOUND the filter is the
+AND of each tuple's row masks (`actions._row_masks`; 0 iff effective and
+free), over a drawn chunk a factor's slice at a time and over the odometer a
+block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of
+the N-1 leading rows' masks.  A random grid above it walks each tuple.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
@@ -29,9 +29,11 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, product
+from functools import reduce
+from itertools import chain, compress, islice, product, repeat
+from operator import and_, not_
 
-from .actions import _effective_last_rows, _effective_rows, _forms, _free_last_rows, _free_rows
+from .actions import MASK_BOUND, _effective_rows, _forms, _free_rows, _row_masks
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
@@ -49,8 +51,8 @@ PRNG_NAME = "mt19937"  # random.Random; seeded with the 64-bit campaign seed
 class GridSpec:
     """Parameter grid: N weight rows with entries in [-B, B].
 
-    mode is "exhaustive" (all (2B+1)^(4N) tuples in odometer order) or
-    "random" (count tuples from an explicitly seeded generator).
+    mode is "exhaustive" (all (2B+1)^(4N) tuples in odometer order, B <= MASK_BOUND)
+    or "random" (count tuples from an explicitly seeded generator).
     """
 
     n_factors: int
@@ -67,6 +69,10 @@ class GridSpec:
         if self.mode == "exhaustive":
             if self.count is not None or self.seed is not None:
                 raise PreconditionError("exhaustive mode takes no count/seed")
+            if self.coefficient_bound > MASK_BOUND:
+                w, e = 2 * self.coefficient_bound + 1, 4 * self.n_factors
+                raise PreconditionError(f"an exhaustive grid has {w}^{e} tuples; "
+                                        f"it needs bound <= {MASK_BOUND}: use random mode")
         elif self.mode == "random":
             if not self.count or self.count < 1:
                 raise PreconditionError("random mode needs a positive count")
@@ -180,35 +186,53 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
     return list(zip(*[zip(*[iter(values)] * 4)] * n_factors))
 
 
-def _drawn_free(actions, tally):
-    """The effective, free tuples of a drawn chunk and their pencils, each on its own."""
-    for rows in actions:
-        tally["tested"] += 1
-        if _effective_rows(rows):
-            tally["effective"] += 1
-            if _free_rows(rows):
-                tally["free"] += 1
-                yield rows, _pencil(_forms(rows))
+def _drawn_free(grid, actions, tally):
+    """The effective, free tuples of a drawn chunk and their pencils: up to MASK_BOUND by
+    the AND of each tuple's row masks, a factor's slice at a time, else by the walk."""
+    if grid.coefficient_bound > MASK_BOUND:
+        effective = list(filter(_effective_rows, actions))
+        n_effective, free = len(effective), list(filter(_free_rows, effective))
+    else:
+        table, effective_bits = _row_masks(grid.coefficient_bound)
+        n = grid.n_factors
+        masks = list(map(table.__getitem__, chain.from_iterable(actions)))
+        anded = masks[::n]
+        for i in range(1, n):
+            anded = list(map(and_, anded, masks[i::n]))
+        n_effective = list(map(and_, anded, repeat(effective_bits))).count(0)
+        free = list(compress(actions, map(not_, anded)))
+    tally["tested"] += len(actions)
+    tally["effective"] += n_effective
+    tally["free"] += len(free)
+    for rows in free:
+        yield rows, _pencil(_forms(rows))
 
 
 def _odometer_free(grid, lo, hi, tally):
     """The effective, free tuples with odometer index in [lo, hi) and their pencils,
     a block of last rows per prefix of N-1 rows; a block cut by lo or hi is sliced.
-    Each pencil is the prefix's folded on by the last row's form."""
+    A block's survivors depend only on its cut and the AND of its prefix's row
+    masks, so are kept by those.  Each pencil is the prefix's folded on by the last row's form."""
     bound = grid.coefficient_bound
+    table, effective_bits = _row_masks(bound)
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
+    last = list(zip(map(table.__getitem__, last_rows), zip(last_rows, _forms(last_rows))))
     size = len(last_rows)
+    survivors: dict = {}  # (prefix mask, first, end) -> (effective count, free (row, form)s)
     prefixes = islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, None)
     for start, prefix in zip(range(lo - lo % size, hi, size), prefixes):
-        block = last_rows[max(lo - start, 0):hi - start]
-        tally["tested"] += len(block)
-        block = _effective_last_rows(prefix, block)
-        tally["effective"] += len(block)
-        block = _free_last_rows(prefix, block)
-        tally["free"] += len(block)
-        if block:
+        first, end = max(lo - start, 0), min(hi - start, size)
+        mask = reduce(and_, map(table.__getitem__, prefix))
+        if (key := (mask, first, end)) not in survivors:
+            survivors[key] = (sum(not mask & m & effective_bits for m, _ in last[first:end]),
+                              [row_form for m, row_form in last[first:end] if not mask & m])
+        n_effective, free = survivors[key]
+        tally["tested"] += end - first
+        tally["effective"] += n_effective
+        tally["free"] += len(free)
+        if free:
             state = _pencil(_forms(prefix))
-            for row, form in zip(block, _forms(block)):
+            for row, form in free:
                 yield prefix + (row,), _pencil((form,), *state)
 
 
@@ -222,7 +246,8 @@ def _scan(args) -> tuple[dict, list]:
     grid, lo, hi, actions = args
     tally = _fresh_tally()
     witnesses: list = []
-    free = _odometer_free(grid, lo, hi, tally) if actions is None else _drawn_free(actions, tally)
+    free = (_odometer_free(grid, lo, hi, tally) if actions is None
+            else _drawn_free(grid, actions, tally))
     for rows, pencil in free:
         _classify_rows(rows, pencil, tally, witnesses)
     return tally, witnesses

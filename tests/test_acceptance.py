@@ -392,22 +392,30 @@ def test_criterion_9_worker_determinism(exhaustive_cli):
     _criterion(9, ok, detail)
 
 
-def test_run_verification_script_smoke():
-    # the desk-scale sweep end to end, its campaigns through a two-worker pool
+def _run_verification(*args):
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     script = root / "scripts" / "run_verification.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--sample-count", "1000", "--n-max", "6", "--jobs", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
+    return subprocess.run(
+        [sys.executable, str(script), *args], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+def test_run_verification_script_smoke():
+    # the desk-scale sweep end to end, its campaigns through a two-worker pool
+    proc = _run_verification("--sample-count", "1000", "--n-max", "6", "--jobs", "2")
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["campaign"] for r in records] == ["t2-exhaustive", "t2-random", "profiles"]
     assert all(r["totals"]["violations"] == 0 and r["violation_witnesses"] == [] for r in records)
     assert records[0]["totals"] == FROZEN_T2_TOTALS
     assert records[1]["totals"]["tested"] == 1000
+
+
+def test_run_verification_script_refuses_bad_preconditions():
+    # an exhaustive grid above the mask bound: exit 1 and an error line, no
+    # traceback and no record, as the CLI does
+    proc = _run_verification("--bound", "5")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

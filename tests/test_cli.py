@@ -213,6 +213,12 @@ def test_verify_t2_refuses_bounds_past_32_bit_words(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_verify_t2_refuses_exhaustive_bounds_past_the_masks(capsys):
+    code, err = run_cli_err(capsys, "verify-t2", "--factors", "2", "--bound", "5")
+    assert code == 1
+    assert err.startswith("error:") and "random" in err and "Traceback" not in err
+
+
 def test_verify_t2_violation_exit_code(capsys, monkeypatch):
     import torquot.harness as harness
 
