@@ -9,7 +9,8 @@ signal the harness exists to detect.  Up to MASK_BOUND the filter is the
 AND of each tuple's row masks (`actions._row_masks`; 0 iff effective and
 free), over a drawn chunk a factor's slice at a time and over the odometer a
 block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of
-the N-1 leading rows' masks.  A random grid above it walks each tuple.
+the N-1 leading rows' masks and share the block's pencil and proof-path prefix
+step.  A random grid above it walks each tuple.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
@@ -133,9 +134,9 @@ class CampaignReport:
         return record
 
 
-def _classify_rows(rows, pencil, tally, witnesses):
+def _classify_rows(rows, pencil, shared, tally, witnesses):
     try:
-        kind, epsilon = _classify_free_rows(rows, pencil)
+        kind, epsilon = _classify_free_rows(rows, pencil, shared)
     except ClassificationViolation as exc:
         tally["violations"] += 1
         witnesses.append(
@@ -187,8 +188,8 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
 
 
 def _drawn_free(grid, actions, tally):
-    """The effective, free tuples of a drawn chunk and their pencils: up to MASK_BOUND by
-    the AND of each tuple's row masks, a factor's slice at a time, else by the walk."""
+    """The effective, free tuples of a drawn chunk, their pencils and None (nothing shared):
+    up to MASK_BOUND by the AND of row masks a factor's slice at a time, else by the walk."""
     if grid.coefficient_bound > MASK_BOUND:
         effective = list(filter(_effective_rows, actions))
         n_effective, free = len(effective), list(filter(_free_rows, effective))
@@ -205,14 +206,15 @@ def _drawn_free(grid, actions, tally):
     tally["effective"] += n_effective
     tally["free"] += len(free)
     for rows in free:
-        yield rows, _pencil(_forms(rows))
+        yield rows, _pencil(_forms(rows)), None
 
 
 def _odometer_free(grid, lo, hi, tally):
     """The effective, free tuples with odometer index in [lo, hi) and their pencils,
     a block of last rows per prefix of N-1 rows; a block cut by lo or hi is sliced.
     A block's survivors depend only on its cut and the AND of its prefix's row
-    masks, so are kept by those.  Each pencil is the prefix's folded on by the last row's form."""
+    masks, so are kept by those.  Each pencil is the prefix's folded on by the last row's form,
+    and the tuples of a block share one list for `classify._proof_path_kind`'s prefix step."""
     bound = grid.coefficient_bound
     table, effective_bits = _row_masks(bound)
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
@@ -231,9 +233,9 @@ def _odometer_free(grid, lo, hi, tally):
         tally["effective"] += n_effective
         tally["free"] += len(free)
         if free:
-            state = _pencil(_forms(prefix))
+            state, shared = _pencil(_forms(prefix)), []
             for row, form in free:
-                yield prefix + (row,), _pencil((form,), *state)
+                yield prefix + (row,), _pencil((form,), *state), shared
 
 
 def _scan(args) -> tuple[dict, list]:
@@ -248,8 +250,8 @@ def _scan(args) -> tuple[dict, list]:
     witnesses: list = []
     free = (_odometer_free(grid, lo, hi, tally) if actions is None
             else _drawn_free(grid, actions, tally))
-    for rows, pencil in free:
-        _classify_rows(rows, pencil, tally, witnesses)
+    for rows, pencil, shared in free:
+        _classify_rows(rows, pencil, shared, tally, witnesses)
     return tally, witnesses
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from torquot import (
     CircleActionSpheres,
+    ClassificationViolation,
     InputFormatError,
     PreconditionError,
     TorusActionS3,
@@ -19,6 +20,7 @@ from torquot import (
     normalize,
 )
 from torquot.actions import (
+    _normalize_rows,
     format_action,
     format_circle_action,
     parse_action,
@@ -298,6 +300,16 @@ def test_normalize_rejects_non_free():
     # not effective
     with pytest.raises(PreconditionError):
         normalize(TorusActionS3(((2, 2, 0, 0), (0, 0, 1, 1))))
+
+
+def test_normalizing_rows_without_slot_1_is_a_violation():
+    # no row has a*b != 0, which only a non-free action allows: rows handed on
+    # by a broken filter.  A campaign records the violation, the CLI exits 2
+    rows = ((1, 0, 0, 1), (0, 1, 1, 0))
+    assert is_effective(TorusActionS3(rows)) and not is_free(TorusActionS3(rows))
+    with pytest.raises(ClassificationViolation, match=r"no factor has a_i\*b_i != 0") as raised:
+        _normalize_rows(rows)
+    assert (raised.value.stage, raised.value.witness) == ("normalization", rows)
 
 
 def _sample_free_actions(count, seed, n_factors=3, bound=2):

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torquot import (
     BinaryQuadraticForm,
@@ -36,8 +37,10 @@ from torquot.classify import (
     canonical_quotient_model,
     quotient_model,
 )
+import torquot.actions as actions
+import torquot.classify as classify
 from torquot.actions import _forms
-from torquot.exact import rank_int_rows
+from torquot.exact import rank_int_rows, unimodular_complement
 
 from conftest import permuted, random_action, random_unimodular, reparametrized
 
@@ -319,6 +322,95 @@ def test_epsilon_matches_kind_on_samples():
         seen[res.epsilon] += 1
         expected = S2XS2_PRODUCT if res.epsilon == 1 else CP2_CONNSUM_PRODUCT
         assert res.kind == expected
+
+
+# -- the proof path, a prefix step and a last-row step ---------------------------------------
+
+
+def _one_pass_normalize(rows):
+    # normalization in one pass over the whole tuple, as it was before its
+    # prefix and last-row steps: (normalized rows, permutation, reparametrization)
+    rows, perm = list(rows), list(range(len(rows)))
+    s1 = next(i for i, (a, b, _, _) in enumerate(rows) if a * b)
+    rows[0], rows[s1], perm[0], perm[s1] = rows[s1], rows[0], perm[s1], perm[0]
+    a1, _, k1, _ = rows[0]
+    d = math.gcd(a1, k1)
+    (m, n), (r, s) = reparam = unimodular_complement(a1 // d, k1 // d)
+    rows = [(a * s - k * r, b * s - l * r, -a * n + k * m, -b * n + l * m) for a, b, k, l in rows]
+    s2 = next(i for i in range(1, len(rows)) if rows[i][2] * rows[i][3])
+    rows[1], rows[s2], perm[1], perm[s2] = rows[s2], rows[1], perm[s2], perm[1]
+    return tuple(rows), tuple(perm), reparam
+
+
+def _one_pass_proof_path(norm_rows):
+    # (kind, epsilon) read off normalized rows: l1 = 0 after the gcd reduction
+    # of (b1, l1) is the S^2 x S^2 type, else epsilon decides
+    _, b1, _, l1 = norm_rows[0]
+    g = math.gcd(b1, l1)
+    bh, lh = b1 // g, l1 // g
+    if lh == 0:
+        assert abs(bh) == 1
+        return S2XS2_PRODUCT, None
+    sides = [((bh * k - a * lh) * (bh * l - b * lh), k * l) for a, b, k, l in norm_rows[1:]]
+    eps = sides[0][0] // sides[0][1]
+    assert all(x == eps * y for x, y in sides)
+    return (S2XS2_PRODUCT if eps == 1 else CP2_CONNSUM_PRODUCT), eps
+
+
+@st.composite
+def rank2_blocks(draw):
+    """(prefix of 1 to 5 rows, 1 to 8 last rows) with entries in [-B, B], B in
+    1..4.  Two core rows hold the pairs {u, v} and {w, x}: u primitive, w its
+    unimodular complement, v = u + s*w and x = w + t*u with s*t in {0, 2}, so
+    every selection has determinant +-1.  Each row is a core row or a row with
+    a zero pair (a zero form, never slot 1 or slot 2), as it is, with its pairs
+    swapped, with a pair negated, or negated.  So a tuple holding both core rows
+    is free, of rank 2."""
+    bound = draw(st.integers(1, 4))
+    entry = st.integers(-bound, bound)
+    u = draw(st.tuples(entry, entry).filter(lambda pair: math.gcd(*pair) == 1))
+    w = unimodular_complement(*u)[1]
+    cores = [
+        ((u[0], v[0], u[1], v[1]), (w[0], x[0], w[1], x[1]))
+        for s in range(-2, 3) for t in range(-2, 3) if s * t in (0, 2)
+        for v in ((u[0] + s * w[0], u[1] + s * w[1]),)
+        for x in ((w[0] + t * u[0], w[1] + t * u[1]),)
+        if max(map(abs, v + w + x)) <= bound
+    ]
+    assume(cores)
+    pair = (draw(entry), draw(entry))
+    bases = draw(st.sampled_from(cores)) + ((pair[0], 0, pair[1], 0),)
+    rows = st.sampled_from([
+        variant for a, b, k, l in bases
+        for variant in ((a, b, k, l), (b, a, l, k), (-a, b, -k, l), (-a, -b, -k, -l))
+    ])
+    return tuple(draw(st.lists(rows, min_size=1, max_size=5))), draw(st.lists(rows, min_size=1, max_size=8))
+
+
+# slots 1 and 2 in the prefix; slot 2 on the last row, with l1 != 0 and l1 = 0;
+# slot 1 on the last row
+@example((((1, 1, 1, 0), (0, 0, 1, 1)), [(-1, -1, -1, 0), (-1, 0, -1, 0)]))
+@example((((-1, -1, -1, 1), (-1, -1, -1, 1)), [(-1, -1, 0, 0), (-1, 0, 0, -1)]))
+@example((((1, 1, 0, 0), (1, 1, 0, 0)), [(-1, -1, -1, -1)]))
+@example((((1, 0, 0, 1), (0, 1, 1, 0)), [(-1, -1, -1, -1), (-1, -1, -1, 1), (1, 1, 1, -1)]))
+@given(rank2_blocks())
+@settings(max_examples=300, deadline=None)
+def test_prefix_and_last_row_steps_equal_one_pass(case):
+    # each tuple is normalized and classified by the composed steps, alone and
+    # with the prefix step shared by the block, as by the one-pass route
+    prefix, last_rows = case
+    tuples = [prefix + (row,) for row in last_rows]
+    tuples = [t for t in tuples if is_effective(TorusActionS3(t)) and is_free(TorusActionS3(t))]
+    tuples = [t for t in tuples if _pencil(_forms(t))[0] == 2]
+    assume(tuples)
+    share, shared = actions._normalize_prefix(tuples[0]), []
+    for rows in tuples:
+        normalized = _one_pass_normalize(rows)
+        assert actions._normalize_rows(rows) == normalized
+        assert actions._normalize_last(rows, share) == normalized
+        verdict = _one_pass_proof_path(normalized[0])
+        assert classify._proof_path_kind(rows) == verdict
+        assert classify._proof_path_kind(rows, shared) == verdict
 
 
 # -- the substitution lemma ----------------------------------------------------------------

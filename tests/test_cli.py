@@ -222,7 +222,7 @@ def test_verify_t2_refuses_exhaustive_bounds_past_the_masks(capsys):
 def test_verify_t2_violation_exit_code(capsys, monkeypatch):
     import torquot.harness as harness
 
-    def explode(rows, pencil):
+    def explode(rows, pencil, shared):
         raise ClassificationViolation("forced", witness=rows)
 
     monkeypatch.setattr(harness, "_classify_free_rows", explode)

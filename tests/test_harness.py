@@ -139,9 +139,9 @@ def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
             chunks.append((chunk[1], chunk[2], list(seen), future.result()[0]))
             return future
 
-    def recording_classify(rows, pencil):
+    def recording_classify(rows, pencil, shared):
         seen.append(rows)
-        return classify._classify_free_rows(rows, pencil)
+        return classify._classify_free_rows(rows, pencil, shared)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_classify_free_rows", recording_classify)
@@ -190,7 +190,7 @@ def test_exhaustive_scan_equals_the_per_tuple_filter(shape, jobs, monkeypatch):
     # scan, and a tuple the reference did not pass fails it with a KeyError
     totals, epsilon_checks, verdicts = _per_tuple_report(*shape)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(harness, "_classify_free_rows", lambda rows, pencil: verdicts[rows])
+    monkeypatch.setattr(harness, "_classify_free_rows", lambda rows, pencil, shared: verdicts[rows])
     report = run_t2_campaign(GridSpec(*shape), jobs=jobs)
     assert report.totals == totals and report.violation_witnesses == []
     assert report.epsilon_checks == epsilon_checks
@@ -199,25 +199,37 @@ def test_exhaustive_scan_equals_the_per_tuple_filter(shape, jobs, monkeypatch):
 @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
 def test_block_pencils_equal_the_per_tuple_pencils(shape, monkeypatch):
     # the odometer folds each free last row's form into its prefix's pencil:
-    # that must be the whole tuple's pencil, give the reference's (kind,
-    # epsilon), and send a rank-2 tuple down the proof path exactly once
+    # that must be the whole tuple's pencil and give the reference's (kind,
+    # epsilon); a rank-2 tuple goes down the proof path exactly once, and the
+    # proof path's prefix step runs once per block (the tuples of one prefix
+    # in one chunk) with a rank-2 survivor
     _, _, verdicts = _per_tuple_report(*shape)
     proof_path = _count_calls(monkeypatch, classify, "_proof_path_kind")
-    rank2 = [0]
+    prefix_steps = _count_calls(monkeypatch, classify, "_proof_path_prefix")
+    chunks, blocks, rank2 = [], set(), [0]
+    scan = harness._scan
 
-    def checked_classify(rows, pencil):
+    def counted_scan(chunk):
+        chunks.append(chunk[1])
+        return scan(chunk)
+
+    def checked_classify(rows, pencil, shared):
         assert pencil == classify._pencil(actions._forms(rows))
         proof_path.clear()
-        outcome = classify._classify_free_rows(rows, pencil)
+        outcome = classify._classify_free_rows(rows, pencil, shared)
         assert outcome == verdicts[rows]
         assert proof_path == ([] if outcome[0] == "T1_S2xS2_PRODUCT" else [rows])
+        if proof_path:
+            blocks.add((chunks[-1], rows[:-1]))
         rank2[0] += len(proof_path)
         return outcome
 
+    monkeypatch.setattr(harness, "_scan", counted_scan)
     monkeypatch.setattr(harness, "_classify_free_rows", checked_classify)
     report = run_t2_campaign(GridSpec(*shape), jobs=1)
     assert report.totals["free"] == len(verdicts)
     assert rank2[0] == sum(kind != "T1_S2xS2_PRODUCT" for kind, _ in verdicts.values()) > 0
+    assert sorted(rows[:-1] for rows in prefix_steps) == sorted(prefix for _, prefix in blocks)
 
 
 @st.composite
@@ -338,12 +350,12 @@ def test_violation_witnesses_recorded(monkeypatch):
     # force violations for one specific action to exercise the reporting path
     target = ((1, 1, 0, 0), (0, 0, 1, 1))
 
-    def fake_classify(rows, pencil):
+    def fake_classify(rows, pencil, shared=None):
         if rows == target:
             raise ClassificationViolation(
                 "epsilon identity fails (forced)", witness=rows, stage="epsilon"
             )
-        return classify._classify_free_rows(rows, pencil)
+        return classify._classify_free_rows(rows, pencil, shared)
 
     monkeypatch.setattr(harness, "_classify_free_rows", fake_classify)
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
@@ -361,7 +373,7 @@ def test_violation_witnesses_recorded(monkeypatch):
 
 
 def test_witnesses_sorted_canonically(monkeypatch):
-    def fake_classify(rows, pencil):
+    def fake_classify(rows, pencil, shared):
         raise ClassificationViolation("forced", witness=rows)
 
     monkeypatch.setattr(harness, "_classify_free_rows", fake_classify)
@@ -540,10 +552,18 @@ def _shift_first_pair(rows, m, n, r, s):
     return tuple(out)
 
 
-def _double_second_row(rows, m, n, r, s):
-    out = list(_transform_rows(rows, m, n, r, s))
-    out[1] = tuple(2 * v for v in out[1])  # every minor of two factors doubles
-    return tuple(out)
+def _double_moved_rows(rows, m, n, r, s):
+    # doubles each transformed row with k != 0, never the first pair's row: at
+    # N = 2 that is the other row, and every minor of two factors doubles
+    return tuple(
+        tuple(2 * v for v in row) if row[2] else row for row in _transform_rows(rows, m, n, r, s)
+    )
+
+
+def _zero_kl(rows, m, n, r, s):
+    # l = 0 wherever k != 0: k*l = 0 on every transformed row, so no row can
+    # take slot 2, a state only a non-free action reaches
+    return tuple((a, b, k, 0) if k else (a, b, k, l) for a, b, k, l in _transform_rows(rows, m, n, r, s))
 
 
 def _bump_pulled_back(form, p, q, r, s):
@@ -563,9 +583,12 @@ FAULTS = {  # module, name, fake, message, stage
     "freeness postcondition": (
         actions,
         "_transform_rows",
-        _double_second_row,
+        _double_moved_rows,
         "destroyed effectiveness/freeness",
         "normalization",
+    ),
+    "no slot 2": (
+        actions, "_transform_rows", _zero_kl, "no remaining factor has k_i*l_i != 0", "normalization"
     ),
     "pencil postcondition": (
         actions, "pulled_back", _bump_pulled_back, "broke the differential pencil", "normalization"
@@ -607,14 +630,18 @@ FAULTS = {  # module, name, fake, message, stage
 }
 
 
+def _install_fault(monkeypatch, module, name, fake):
+    original = getattr(module, name, None)  # None: a builtin such as exact.pow
+    monkeypatch.setattr(module, name, fake, raising=False)
+    for holder in (actions, classify, harness):  # the fake replaces every copy
+        if original is not None and getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, fake)
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     module, name, fake, message, stage = FAULTS[fault]
-    original = getattr(module, name)
-    for holder in (actions, classify, harness):  # the fake replaces every copy
-        if getattr(holder, name, None) is original:
-            monkeypatch.setattr(holder, name, fake)
-
+    _install_fault(monkeypatch, module, name, fake)
     report = run_t2_campaign(GridSpec(2, 1), jobs=1)
     totals = report.totals
     assert totals["violations"] > 0
@@ -633,6 +660,56 @@ def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert message in record["violations"][0]
     assert record["witness"] == [list(r) for r in FAULT_ROWS]
+
+
+# N=3, B=1 odometer blocks, by prefix: slots 1 and 2 in the prefix; slot 2 on
+# the last row (epsilon -1 and +1 among the tuples); slot 1 on the last row
+# (l1 = 0 and epsilon -1 among the tuples)
+FAULT_BLOCKS = (
+    ((1, 1, 1, 0), (0, 0, 1, 1)),
+    ((-1, -1, -1, 1), (-1, -1, -1, 1)),
+    ((1, 0, 0, 1), (0, 1, 1, 0)),
+)
+BLOCK_FAULTS = {name: entry[:3] for name, entry in FAULTS.items()}
+BLOCK_FAULTS["unimodular complement"] = (exact, "pow", lambda *args: math.nan)
+
+
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+def test_block_faults_are_the_per_tuple_faults(fault, monkeypatch):
+    # a fault in the work a block shares is recorded for each of its tuples as
+    # the per-tuple route records it, and no exception escapes the scan
+    values = list(itertools.product(range(-1, 2), repeat=4))
+    shares = [actions._normalize_prefix(prefix + (values[0],)) for prefix in FAULT_BLOCKS]
+    # the last row's normalized index, and {} where the last row is slot 1
+    assert [share if isinstance(share, dict) else share[3] for share in shares] == [2, 1, {}]
+    _install_fault(monkeypatch, *BLOCK_FAULTS[fault])
+    seen = []
+
+    def recording_classify(rows, pencil, shared):
+        try:
+            return classify._classify_free_rows(rows, pencil, shared)
+        except ClassificationViolation as exc:
+            seen.append((rows, str(exc), exc.stage))
+            raise
+
+    monkeypatch.setattr(harness, "_classify_free_rows", recording_classify)
+    for prefix in FAULT_BLOCKS:
+        expected = []
+        for rows in (prefix + (row,) for row in values):
+            if actions._effective_rows(rows) and actions._free_rows(rows):
+                try:
+                    classify._classify_free_rows(rows, classify._pencil(actions._forms(rows)))
+                except ClassificationViolation as exc:
+                    expected.append((rows, str(exc), exc.stage))
+        assert expected
+        lo = (values.index(prefix[0]) * len(values) + values.index(prefix[1])) * len(values)
+        seen.clear()
+        tally, witnesses = harness._scan((GridSpec(3, 1), lo, lo + len(values), None))
+        assert seen == expected and tally["violations"] == len(expected)
+        assert witnesses == [
+            {"rows": [list(r) for r in rows], "error": error, "epsilon_related": stage == "epsilon"}
+            for rows, error, stage in expected
+        ]
 
 
 def test_no_bare_assert_in_package():
@@ -660,6 +737,37 @@ def test_every_violation_names_its_stage():
         and node.exc.func.id == "ClassificationViolation"
         and "stage" not in {keyword.arg for keyword in node.exc.keywords}
     ]
+    assert offenders == []
+
+
+# the campaign path: a tuple here passed the campaign's filter, so a failed
+# check is a certified-impossible state, recorded as a witness
+CAMPAIGN_PATH = {
+    "actions.py": ("_normalize_rows", "_normalize_prefix", "_normalize_share", "_pulls_back", "_normalize_last"),
+    "classify.py": ("_classify_free_rows", "_proof_path_kind", "_proof_path_prefix", "_sides", "_epsilon"),
+}
+
+
+def test_campaign_path_raises_only_violations():
+    # a PreconditionError there would abort a campaign (its scan catches
+    # ClassificationViolation only) and make the CLI exit 1 instead of 2
+    package = Path(harness.__file__).parent
+    offenders = []
+    for filename, names in CAMPAIGN_PATH.items():
+        tree = ast.parse((package / filename).read_text())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(functions)
+        offenders += [
+            f"{filename}:{node.lineno}"
+            for name in names
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Raise)
+            and not (
+                isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ClassificationViolation"
+            )
+        ]
     assert offenders == []
 
 
