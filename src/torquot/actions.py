@@ -289,85 +289,54 @@ def _transform_rows(rows: Sequence[Row], m: int, n: int, r: int, s: int) -> tupl
                   for a, b, k, l in rows])
 
 
-def _normalize_rows(rows: Sequence[Row]) -> tuple[tuple[Row, ...], tuple[int, ...], Matrix2]:
-    """`normalize` on rows the caller knows to be effective and free, as the prefix
-    step, then the last row's: (normalized rows, permutation, reparametrization)."""
-    return _normalize_last(rows, _normalize_prefix(rows))
-
-
-def _normalize_prefix(rows: Sequence[Row]):
-    """Normalization's share of the work rows[:-1] fix (rows is only the witness):
-    `_normalize_share` of slot 1, the first row with a*b != 0, when the prefix
-    holds it, else a dict for the shares keyed by the last row's reduced (a1, k1)."""
-    slot1 = next((i for i, (a, b, _, _) in enumerate(rows[:-1]) if a * b), None)
-    return {} if slot1 is None else _normalize_share(rows, slot1)
-
-
-def _normalize_share(rows: Sequence[Row], slot1: int):
-    """(head, perm, reparam, at, ok) for slot 1 at rows[slot1]: the rows but the last,
-    transformed, in normalized order, and their sources; the reparametrization taking
-    slot 1's (a, k) to (gcd, 0); the last row's index; whether head's forms pull back."""
-    last = len(rows) - 1
-    perm = list(range(last + 1))
+def _normalize_rows(rows: Sequence[Row], shared: dict | None = None
+                    ) -> tuple[tuple[Row, ...], tuple[int, ...], Matrix2]:
+    """`normalize` on rows the caller knows to be effective and free: returns
+    (normalized rows, permutation, reparametrization), postconditions checked.
+    shared, one dict for the tuples of one rows[:-1], keeps by slot 1's reduced
+    pair the reparametrization, rows[:-1] transformed and whether they pull back."""
+    perm = list(range(len(rows)))
+    for slot1, (a, b, _, _) in enumerate(rows):
+        if a * b:
+            break
+    else:
+        raise ClassificationViolation(
+            "no factor has a_i*b_i != 0; a free action always has one",
+            witness=rows, stage="normalization",
+        )
     perm[0], perm[slot1] = slot1, 0
-    at = 0 if slot1 == last else last
-    del perm[at]
     a1, _, k1, _ = rows[slot1]
     d = math.gcd(a1, k1)
-    (m, n), (r, s) = reparam = unimodular_complement(a1 // d, k1 // d)
-    head = list(_transform_rows([rows[p] for p in perm], m, n, r, s))
-    lo = min(at, 1)  # slot 2 is the first row with k*l != 0 from normalized index 1
-    slot2 = next((i for i in range(lo, last) if head[i][2] * head[i][3]), None)
-    if slot2 is not None:
-        head[lo], head[slot2] = head[slot2], head[lo]
-        perm[lo], perm[slot2] = perm[slot2], perm[lo]
-    elif at:  # only the last row can be slot 2: it swaps with index 1
-        head[1:], perm[1:], at = head[2:] + head[1:2], perm[2:] + perm[1:2], 1
-    ok = _pulls_back(head, [rows[p] for p in perm], m, n, r, s)
-    return tuple(head), tuple(perm), reparam, at, ok
-
-
-def _pulls_back(new_rows: Sequence[Row], sources: Sequence[Row], m, n, r, s) -> bool:
-    """Whether each new row's form, pulled back along the reparametrization, is its source's."""
-    for (a, b, k, l), (a0, b0, k0, l0) in zip(new_rows, sources):
-        old_form = a0 * b0, a0 * l0 + b0 * k0, k0 * l0
-        if pulled_back((a * b, a * l + b * k, k * l), m, n, r, s) != old_form:
-            return False
-    return True
-
-
-def _normalize_last(rows: Sequence[Row], share) -> tuple[tuple[Row, ...], tuple[int, ...], Matrix2]:
-    """The last row's step of `_normalize_rows`, on from the prefix step's share,
-    and every check of the tuple, in the order of the steps they check."""
-    last = len(rows) - 1
-    if isinstance(share, dict):  # slot 1 is not in the prefix
-        a1, b1, k1, _ = rows[last]
-        if not a1 * b1:
-            raise ClassificationViolation(
-                "no factor has a_i*b_i != 0; a free action always has one",
-                witness=rows, stage="normalization",
-            )
-        d = math.gcd(a1, k1)
-        key = a1 // d, k1 // d
-        share = share.get(key) or share.setdefault(key, _normalize_share(rows, last))
-    head, perm, reparam, at, ok = share
+    key = a1 // d, k1 // d
+    shared = {} if shared is None else shared
+    if key not in shared:
+        (m, n), (r, s) = reparam = unimodular_complement(*key)
+        head = _transform_rows(rows[:-1], m, n, r, s)
+        shared[key] = reparam, head, _pulls_back(head, rows[:-1], m, n, r, s)
+    reparam, head, ok = shared[key]
     (m, n), (r, s) = reparam
-    new = _transform_rows(rows[last:], m, n, r, s)
-    new_rows, perm = head[:at] + new + head[at:], perm[:at] + (last,) + perm[at:]
-    a1, _, k1, _ = rows[perm[0]]
-    d = math.gcd(a1, k1)
+    last = _transform_rows(rows[-1:], m, n, r, s)
+    new_rows = list(head + last)
+    new_rows[0], new_rows[slot1] = new_rows[slot1], new_rows[0]
     if new_rows[0][0] != d or new_rows[0][2] != 0:
         raise ClassificationViolation(
             f"reparametrization took the first pair ({a1}, {k1}) to "
             f"({new_rows[0][0]}, {new_rows[0][2]}), not ({d}, 0)",
             witness=rows, stage="normalization",
         )
-    if not new_rows[1][2] * new_rows[1][3]:
+
+    for slot2 in range(1, len(new_rows)):
+        if new_rows[slot2][2] * new_rows[slot2][3]:
+            break
+    else:
         raise ClassificationViolation(
             "no remaining factor has k_i*l_i != 0 after reparametrization; "
             "a free action always has one",
             witness=rows, stage="normalization",
         )
+    new_rows[1], new_rows[slot2] = new_rows[slot2], new_rows[1]
+    perm[1], perm[slot2] = perm[slot2], perm[1]
+    new_rows = tuple(new_rows)
 
     # postconditions: orbits unchanged means effectiveness/freeness survive, and the
     # relation pencil is carried by the substitution s -> M s; the input is
@@ -377,12 +346,21 @@ def _normalize_last(rows: Sequence[Row], share) -> tuple[tuple[Row, ...], tuple[
             "normalization destroyed effectiveness/freeness",
             witness=rows, stage="normalization",
         )
-    if not ok or not _pulls_back(new, rows[last:], m, n, r, s):
+    if not ok or not _pulls_back(last, rows[-1:], m, n, r, s):
         raise ClassificationViolation(
             "normalization broke the differential pencil",
             witness=rows, stage="normalization",
         )
-    return new_rows, perm, reparam
+    return new_rows, tuple(perm), reparam
+
+
+def _pulls_back(new_rows: Sequence[Row], sources: Sequence[Row], m, n, r, s) -> bool:
+    """Whether each new row's form, pulled back along the reparametrization, is its source's."""
+    for (a, b, k, l), (a0, b0, k0, l0) in zip(new_rows, sources):
+        old_form = a0 * b0, a0 * l0 + b0 * k0, k0 * l0
+        if pulled_back((a * b, a * l + b * k, k * l), m, n, r, s) != old_form:
+            return False
+    return True
 
 
 def normalize(act: TorusActionS3) -> NormalizedActionS3:

@@ -10,8 +10,8 @@ run on every call and must agree:
   quotient line (basis independent, normative);
 * the proof path: factor normalization, the sign invariant epsilon of the
   reduced weight data, and the explicit change-of-basis rewrites (every
-  intermediate identity is re-checked on the instance).  A step on the first N-1
-  rows, which the odometer shares within a block, then a step on the last row.
+  intermediate identity is re-checked on the instance).  The odometer hands the
+  tuples of a block one dict for the work their first N-1 rows have in common.
 
 Any state these methods cannot reach for a genuinely free action raises
 ``ClassificationViolation`` -- the harness treats that as "theorem
@@ -35,8 +35,7 @@ from .actions import (
     Row,
     TorusActionS3,
     _forms,
-    _normalize_last,
-    _normalize_prefix,
+    _normalize_rows,
     differential_rows,
     is_effective,
     is_free,
@@ -377,29 +376,27 @@ def _reduced_first_pair(rows: Sequence[Row]) -> tuple[int, int]:
     return b1 // g, l1 // g
 
 
-def _sides(rows: Sequence[Row], bh: int, lh: int) -> list[tuple[int, int]]:
-    """The two sides (x_j, y_j) of the epsilon identity at each of rows."""
-    return [(det2(bh, a, lh, k) * det2(bh, b, lh, l), k * l) for a, b, k, l in rows]
-
-
-def _epsilon(sides: Sequence[tuple[int, int]], witness) -> int:
-    """epsilon from the `_sides` of normalized rows 2..N, reduced first pair (bh, lh != 0)."""
+def _epsilon(rows: Sequence[Row], bh: int, lh: int) -> int:
+    """epsilon of normalized rows whose reduced first pair is (bh, lh != 0)."""
+    sides = [
+        (det2(bh, aj, lh, kj) * det2(bh, bj, lh, lj), kj * lj)
+        for (aj, bj, kj, lj) in rows[1:]
+    ]
     # factor 2 fixes epsilon (k2*l2 != 0 in normalized form); the rest must agree
     x2, y2 = sides[0]
     if y2 == 0 or x2 % y2 != 0:
         raise ClassificationViolation(
-            f"epsilon identity fails at factor 2: {x2} vs {y2}", witness=witness, stage="epsilon"
+            f"epsilon identity fails at factor 2: {x2} vs {y2}", witness=rows, stage="epsilon"
         )
     eps = x2 // y2
     if eps not in (1, -1):
-        raise ClassificationViolation(
-            f"epsilon = {eps} is not a sign", witness=witness, stage="epsilon"
-        )
+        raise ClassificationViolation(f"epsilon = {eps} is not a sign", witness=rows, stage="epsilon")
     for j, (xj, yj) in enumerate(sides[1:], start=3):
         if xj != eps * yj:
             raise ClassificationViolation(
                 f"epsilon identity fails at factor {j}: {xj} != {eps}*{yj}",
-                witness=witness, stage="epsilon",
+                witness=rows,
+                stage="epsilon",
             )
     return eps
 
@@ -421,7 +418,7 @@ def epsilon_invariant(norm: NormalizedActionS3) -> int:
         raise PreconditionError("epsilon is defined only when l1 != 0")
     if _pencil(_forms(norm.action.rows))[0] != 2:
         raise PreconditionError("epsilon is defined only for rank-2 pencils")
-    return _epsilon(_sides(norm.action.rows[1:], bh, lh), norm.action.rows)
+    return _epsilon(norm.action.rows, bh, lh)
 
 
 # -- the three-type classifier ------------------------------------------------------
@@ -536,22 +533,13 @@ def _quotient_square_form(forms: Sequence[Form]) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
 
 
-def _proof_path_kind(rows: Sequence[Row], shared: list | None = None) -> tuple[str, int | None]:
-    """Classify effective, free rank-2 rows along the normalization/epsilon route: the
-    prefix step, then the last row's.  shared, a list kept for the tuples of one rows[:-1],
-    holds the prefix step once it has returned; a step that raises is rerun by each tuple."""
-    shared = [] if shared is None else shared
-    if not shared:
-        shared.append(_proof_path_prefix(rows))
-    share, first, sides, passed = shared[0]
-    norm_rows, _, _ = _normalize_last(rows, share)
-    if first is None:  # slot 1 is the last row: the pair and every side are this tuple's
-        bh, lh = _reduced_first_pair(norm_rows)
-        sides = lh and _sides(norm_rows[1:], bh, lh)
-    else:
-        (bh, lh), at = first, share[3]
-        if lh:
-            sides = sides[:at - 1] + _sides(norm_rows[at:at + 1], bh, lh) + sides[at - 1:]
+def _proof_path_kind(rows: Sequence[Row], shared: dict | None = None) -> tuple[str, int | None]:
+    """Classify effective, free rank-2 rows along the normalization/epsilon route.
+    shared, one dict for the tuples of one rows[:-1], keeps normalization's common
+    work and the pencils lemma 6.4 passed; a step that raises is never kept."""
+    shared = {} if shared is None else shared
+    norm_rows, _, _ = _normalize_rows(rows, shared)
+    bh, lh = _reduced_first_pair(norm_rows)
     if lh == 0:
         # gcd-reduced (b1, 0) forces b1 = +-1; kill the s1^2 part of row 2 and
         # land in the first normal position of the substitution lemma
@@ -564,27 +552,16 @@ def _proof_path_kind(rows: Sequence[Row], shared: list | None = None) -> tuple[s
         eps, pencil = None, ((bh, 0, 0), (0, a2 * l2 + b2 * k2, k2 * l2))
     try:
         if lh:
-            eps = _epsilon(sides, norm_rows)
+            eps = _epsilon(norm_rows, bh, lh)
             if eps != 1:
                 return CP2_CONNSUM_PRODUCT, eps
             pencil = ((0, 1, 0), (1, 0, 1))  # D(x1) = s1*s~2, D(x2') = s1^2 + s~2^2
-        if pencil not in passed:  # the lemma's verdict is a function of the pencil
+        if pencil not in shared:  # the lemma's verdict is a function of the pencil
             lemma64_substitution(*pencil)
-            passed.add(pencil)
+            shared[pencil] = True
     except ClassificationViolation as exc:  # name the action, not its normalized rows or pencil
         raise ClassificationViolation(str(exc), witness=rows, stage=exc.stage) from exc
     return S2XS2_PRODUCT, eps
-
-
-def _proof_path_prefix(rows: Sequence[Row]):
-    """The proof path's share of the work rows[:-1] fix (rows is only the witness):
-    normalization's; with slot 1 in the prefix, its reduced first pair and the other prefix
-    rows' epsilon sides in normalized order (else None, None); a set for lemma 6.4's passes."""
-    share = _normalize_prefix(rows)
-    if isinstance(share, dict):  # slot 1 is not in the prefix
-        return share, None, None, set()
-    bh, lh = first = _reduced_first_pair(share[0])
-    return share, first, lh and _sides(share[0][1:], bh, lh), set()
 
 
 def _classify_free_rows(rows: Sequence[Row], pencil: tuple, shared=None) -> tuple[str, int | None]:
@@ -592,7 +569,7 @@ def _classify_free_rows(rows: Sequence[Row], pencil: tuple, shared=None) -> tupl
 
     pencil is their `_pencil(_forms(rows))`.  Campaigns call this on rows their filter
     passed, with the pencil folded on from their prefix's and the odometer with one
-    `shared` list per block; `classify_t2_quotient` calls it after its own checks.
+    `shared` dict per block; `classify_t2_quotient` calls it after its own checks.
     """
     rank, _, phi = pencil
     if rank <= 1:

@@ -9,8 +9,8 @@ signal the harness exists to detect.  Up to MASK_BOUND the filter is the
 AND of each tuple's row masks (`actions._row_masks`; 0 iff effective and
 free), over a drawn chunk a factor's slice at a time and over the odometer a
 block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of
-the N-1 leading rows' masks and share the block's pencil and proof-path prefix
-step.  A random grid above it walks each tuple.
+the N-1 leading rows' masks and share the block's pencil and one dict for the
+proof path's common work.  A random grid above it walks each tuple.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks, per-chunk tallies are merged by commutative addition, and witness
@@ -19,7 +19,8 @@ produce identical reports for any worker count.  Random mode draws from
 Python's random.Random (MT19937), named in the report config: the chunks are
 drawn in grid order from one generator, so the draw order does not depend on
 the worker count either.  The draw reads MT19937 words in bulk but yields
-the stream of one randint(-B, B) call per slot (see _draw).
+the stream of one randint(-B, B) call per slot (see _draw), and a drawn chunk
+holds at most DRAW_CHUNK tuples, so memory does not grow with the count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, compress, islice, pairwise, product, repeat
 from operator import and_, not_
 
 from .actions import MASK_BOUND, _effective_rows, _forms, _free_rows, _row_masks
@@ -46,6 +47,8 @@ from .classify import (
 from .errors import ClassificationViolation, PreconditionError
 
 PRNG_NAME = "mt19937"  # random.Random; seeded with the 64-bit campaign seed
+DRAW_CHUNK = 1 << 16  # most tuples in a drawn chunk, which its parent and worker hold whole
+MAX_JOBS = 64  # the process pool forks all of its workers at the first submit
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,9 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
 
 
 def _drawn_free(grid, actions, tally):
-    """The effective, free tuples of a drawn chunk, their pencils and None (nothing shared):
-    up to MASK_BOUND by the AND of row masks a factor's slice at a time, else by the walk."""
+    """The effective, free tuples of a drawn chunk, their pencils and None (each tuple's
+    proof path keeps its own dict): up to MASK_BOUND by the AND of row masks a factor's
+    slice at a time, else by the walk."""
     if grid.coefficient_bound > MASK_BOUND:
         effective = list(filter(_effective_rows, actions))
         n_effective, free = len(effective), list(filter(_free_rows, effective))
@@ -214,7 +218,7 @@ def _odometer_free(grid, lo, hi, tally):
     a block of last rows per prefix of N-1 rows; a block cut by lo or hi is sliced.
     A block's survivors depend only on its cut and the AND of its prefix's row
     masks, so are kept by those.  Each pencil is the prefix's folded on by the last row's form,
-    and the tuples of a block share one list for `classify._proof_path_kind`'s prefix step."""
+    and the tuples of a block share one dict for `classify._proof_path_kind`'s common work."""
     bound = grid.coefficient_bound
     table, effective_bits = _row_masks(bound)
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
@@ -233,7 +237,7 @@ def _odometer_free(grid, lo, hi, tally):
         tally["effective"] += n_effective
         tally["free"] += len(free)
         if free:
-            state, shared = _pencil(_forms(prefix)), []
+            state, shared = _pencil(_forms(prefix)), {}
             for row, form in free:
                 yield prefix + (row,), _pencil((form,), *state), shared
 
@@ -256,11 +260,11 @@ def _scan(args) -> tuple[dict, list]:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Requested worker count, 1 by default."""
+    """Requested worker count, 1 by default, at most MAX_JOBS."""
     if jobs is None:
         jobs = 1
-    if jobs < 1:
-        raise PreconditionError("jobs must be >= 1")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise PreconditionError(f"jobs must be in 1..{MAX_JOBS}")
     return jobs
 
 
@@ -297,14 +301,15 @@ def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
 
     total = grid.tuple_count
     n_chunks = min(jobs * 4, total)
-    bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
     rng = random.Random(grid.seed) if grid.mode == "random" else None
+    if rng is not None:
+        n_chunks = max(n_chunks, -(-total // DRAW_CHUNK))
     b = grid.coefficient_bound
     # chunks in grid order from one generator, each drawn just before it is
     # scanned (jobs=1) or submitted (jobs>1), and merged as its result arrives
     work = (
         (grid, lo, hi, None if rng is None else _draw(rng, b, grid.n_factors, hi - lo))
-        for lo, hi in zip(bounds, bounds[1:])
+        for lo, hi in pairwise(total * i // n_chunks for i in range(n_chunks + 1))
     )
     tally, witnesses = _merge(map(_scan, work) if jobs == 1 else _pooled(work, jobs))
     epsilon_checks = {

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torquot.actions as actions
 from torquot import (
     CircleActionSpheres,
     ClassificationViolation,
@@ -26,6 +27,7 @@ from torquot.actions import (
     parse_action,
     parse_circle_action,
 )
+from torquot.quadforms import pulled_back
 
 from conftest import (
     T1_ROWS,
@@ -310,6 +312,26 @@ def test_normalizing_rows_without_slot_1_is_a_violation():
     with pytest.raises(ClassificationViolation, match=r"no factor has a_i\*b_i != 0") as raised:
         _normalize_rows(rows)
     assert (raised.value.stage, raised.value.witness) == ("normalization", rows)
+
+
+@pytest.mark.parametrize("factor", [0, 1, 2])
+def test_each_factor_pull_back_is_checked(factor, monkeypatch):
+    # a pull-back that fails at one factor only, among the first N-1 rows, which
+    # a block's dict keeps, or the last row, fails the pencil postcondition
+    rows = ((1, 1, 1, 0), (0, 0, 1, 1), (-1, 0, -1, 0))
+    assert is_effective(TorusActionS3(rows)) and is_free(TorusActionS3(rows))
+    _normalize_rows(rows)
+    a, b, k, l = rows[factor]
+    source = (a * b, a * l + b * k, k * l)
+
+    def bump_one(form, m, n, r, s):
+        A, B, C = pulled_back(form, m, n, r, s)
+        return (A + 1, B, C) if (A, B, C) == source else (A, B, C)
+
+    monkeypatch.setattr(actions, "pulled_back", bump_one)
+    for shared in (None, {}):
+        with pytest.raises(ClassificationViolation, match="broke the differential pencil"):
+            _normalize_rows(rows, shared)
 
 
 def _sample_free_actions(count, seed, n_factors=3, bound=2):

@@ -324,12 +324,12 @@ def test_epsilon_matches_kind_on_samples():
         assert res.kind == expected
 
 
-# -- the proof path, a prefix step and a last-row step ---------------------------------------
+# -- the proof path, alone and with a block's shared dict ------------------------------------
 
 
 def _one_pass_normalize(rows):
-    # normalization in one pass over the whole tuple, as it was before its
-    # prefix and last-row steps: (normalized rows, permutation, reparametrization)
+    # normalization in one pass over the whole tuple, sharing nothing with
+    # other tuples: (normalized rows, permutation, reparametrization)
     rows, perm = list(rows), list(range(len(rows)))
     s1 = next(i for i, (a, b, _, _) in enumerate(rows) if a * b)
     rows[0], rows[s1], perm[0], perm[s1] = rows[s1], rows[0], perm[s1], perm[0]
@@ -395,22 +395,22 @@ def rank2_blocks(draw):
 @example((((1, 0, 0, 1), (0, 1, 1, 0)), [(-1, -1, -1, -1), (-1, -1, -1, 1), (1, 1, 1, -1)]))
 @given(rank2_blocks())
 @settings(max_examples=300, deadline=None)
-def test_prefix_and_last_row_steps_equal_one_pass(case):
-    # each tuple is normalized and classified by the composed steps, alone and
-    # with the prefix step shared by the block, as by the one-pass route
+def test_shared_proof_path_equals_one_pass(case):
+    # each tuple is normalized and classified alone and with one dict per block
+    # for the work its tuples share, as by the one-pass route
     prefix, last_rows = case
     tuples = [prefix + (row,) for row in last_rows]
     tuples = [t for t in tuples if is_effective(TorusActionS3(t)) and is_free(TorusActionS3(t))]
     tuples = [t for t in tuples if _pencil(_forms(t))[0] == 2]
     assume(tuples)
-    share, shared = actions._normalize_prefix(tuples[0]), []
+    normalize_shared, proof_path_shared = {}, {}
     for rows in tuples:
         normalized = _one_pass_normalize(rows)
         assert actions._normalize_rows(rows) == normalized
-        assert actions._normalize_last(rows, share) == normalized
+        assert actions._normalize_rows(rows, normalize_shared) == normalized
         verdict = _one_pass_proof_path(normalized[0])
         assert classify._proof_path_kind(rows) == verdict
-        assert classify._proof_path_kind(rows, shared) == verdict
+        assert classify._proof_path_kind(rows, proof_path_shared) == verdict
 
 
 # -- the substitution lemma ----------------------------------------------------------------

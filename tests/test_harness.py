@@ -200,18 +200,21 @@ def test_exhaustive_scan_equals_the_per_tuple_filter(shape, jobs, monkeypatch):
 def test_block_pencils_equal_the_per_tuple_pencils(shape, monkeypatch):
     # the odometer folds each free last row's form into its prefix's pencil:
     # that must be the whole tuple's pencil and give the reference's (kind,
-    # epsilon); a rank-2 tuple goes down the proof path exactly once, and the
-    # proof path's prefix step runs once per block (the tuples of one prefix
-    # in one chunk) with a rank-2 survivor
+    # epsilon); a rank-2 tuple goes down the proof path exactly once, and
+    # normalization reparametrizes once per block (the tuples of one prefix in
+    # one chunk) and reduced slot-1 pair (a1/d, k1/d) among its rank-2 tuples
     _, _, verdicts = _per_tuple_report(*shape)
     proof_path = _count_calls(monkeypatch, classify, "_proof_path_kind")
-    prefix_steps = _count_calls(monkeypatch, classify, "_proof_path_prefix")
-    chunks, blocks, rank2 = [], set(), [0]
-    scan = harness._scan
+    chunks, triples, complements, rank2 = [], set(), [], [0]
+    scan, complement = harness._scan, actions.unimodular_complement
 
     def counted_scan(chunk):
         chunks.append(chunk[1])
         return scan(chunk)
+
+    def counted_complement(m, n):
+        complements.append((chunks[-1], (m, n)))
+        return complement(m, n)
 
     def checked_classify(rows, pencil, shared):
         assert pencil == classify._pencil(actions._forms(rows))
@@ -220,16 +223,19 @@ def test_block_pencils_equal_the_per_tuple_pencils(shape, monkeypatch):
         assert outcome == verdicts[rows]
         assert proof_path == ([] if outcome[0] == "T1_S2xS2_PRODUCT" else [rows])
         if proof_path:
-            blocks.add((chunks[-1], rows[:-1]))
+            a1, _, k1, _ = next(row for row in rows if row[0] * row[1])
+            d = math.gcd(a1, k1)
+            triples.add((chunks[-1], rows[:-1], (a1 // d, k1 // d)))
         rank2[0] += len(proof_path)
         return outcome
 
     monkeypatch.setattr(harness, "_scan", counted_scan)
     monkeypatch.setattr(harness, "_classify_free_rows", checked_classify)
+    monkeypatch.setattr(actions, "unimodular_complement", counted_complement)
     report = run_t2_campaign(GridSpec(*shape), jobs=1)
     assert report.totals["free"] == len(verdicts)
     assert rank2[0] == sum(kind != "T1_S2xS2_PRODUCT" for kind, _ in verdicts.values()) > 0
-    assert sorted(rows[:-1] for rows in prefix_steps) == sorted(prefix for _, prefix in blocks)
+    assert sorted(complements) == sorted((chunk, pair) for chunk, _, pair in triples)
 
 
 @st.composite
@@ -344,6 +350,48 @@ def test_resolve_jobs():
     assert resolve_jobs(3) == 3
     with pytest.raises(PreconditionError):
         resolve_jobs(0)
+
+
+def test_too_many_jobs_are_refused_before_any_pool_starts(monkeypatch, capsys):
+    # the process pool forks all of its workers at its first submit, so a
+    # worker count above MAX_JOBS is refused before one is built
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert resolve_jobs(harness.MAX_JOBS) == harness.MAX_JOBS
+    for jobs in (harness.MAX_JOBS + 1, 100_000):
+        with pytest.raises(PreconditionError, match="jobs must be"):
+            resolve_jobs(jobs)
+        with pytest.raises(PreconditionError, match="jobs must be"):
+            run_t2_campaign(GridSpec(2, 1, mode="random", count=5, seed=1), jobs=jobs)
+    argv = ["verify-t2", "--factors", "2", "--bound", "1", "--jobs", "100000"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "jobs must be" in captured.err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_drawn_chunks_hold_at_most_draw_chunk_tuples(jobs, monkeypatch):
+    # a random grid is cut into chunks of at most DRAW_CHUNK tuples, which does
+    # not change its report; an exhaustive grid keeps its 4 * jobs chunks
+    grid = GridSpec(3, 1, mode="random", count=2000, seed=5)
+    expected = run_t2_campaign(grid, jobs=jobs).comparable()
+    sizes, scan = [], harness._scan
+
+    def counted_scan(chunk):
+        sizes.append(chunk[2] - chunk[1] if chunk[3] is None else len(chunk[3]))
+        return scan(chunk)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_scan", counted_scan)
+    monkeypatch.setattr(harness, "DRAW_CHUNK", 64)
+    assert run_t2_campaign(grid, jobs=jobs).comparable() == expected
+    assert len(sizes) == 32 and max(sizes) <= 64 and sum(sizes) == 2000  # 2000 / 64 = 31.25
+    sizes.clear()
+    run_t2_campaign(GridSpec(2, 1), jobs=jobs)
+    assert len(sizes) == 4 * jobs and sum(sizes) == 3 ** 8
 
 
 def test_violation_witnesses_recorded(monkeypatch):
@@ -679,9 +727,12 @@ def test_block_faults_are_the_per_tuple_faults(fault, monkeypatch):
     # a fault in the work a block shares is recorded for each of its tuples as
     # the per-tuple route records it, and no exception escapes the scan
     values = list(itertools.product(range(-1, 2), repeat=4))
-    shares = [actions._normalize_prefix(prefix + (values[0],)) for prefix in FAULT_BLOCKS]
-    # the last row's normalized index, and {} where the last row is slot 1
-    assert [share if isinstance(share, dict) else share[3] for share in shares] == [2, 1, {}]
+    # slot 1, the first row with a*b != 0, is in the prefix of the first two
+    # blocks and the last row of the third; the second block's last row is slot 2
+    assert [any(a * b for a, b, _, _ in prefix) for prefix in FAULT_BLOCKS] == [True, True, False]
+    free = [rows for rows in (FAULT_BLOCKS[1] + (row,) for row in values)
+            if actions._effective_rows(rows) and actions._free_rows(rows)]
+    assert {actions._normalize_rows(rows)[1][1] for rows in free} == {2}
     _install_fault(monkeypatch, *BLOCK_FAULTS[fault])
     seen = []
 
@@ -743,8 +794,8 @@ def test_every_violation_names_its_stage():
 # the campaign path: a tuple here passed the campaign's filter, so a failed
 # check is a certified-impossible state, recorded as a witness
 CAMPAIGN_PATH = {
-    "actions.py": ("_normalize_rows", "_normalize_prefix", "_normalize_share", "_pulls_back", "_normalize_last"),
-    "classify.py": ("_classify_free_rows", "_proof_path_kind", "_proof_path_prefix", "_sides", "_epsilon"),
+    "actions.py": ("_normalize_rows", "_pulls_back"),
+    "classify.py": ("_classify_free_rows", "_proof_path_kind", "_epsilon"),
 }
 
 
