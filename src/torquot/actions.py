@@ -438,17 +438,6 @@ def parse_action(text: str) -> TorusActionS3:
     return TorusActionS3(tuple(rows))
 
 
-def format_action(act: TorusActionS3) -> str:
-    return json.dumps(
-        {
-            "n_factors": act.n_factors,
-            "rows": [
-                {"a": a, "b": b, "k": k, "l": l} for (a, b, k, l) in act.rows
-            ],
-        }
-    )
-
-
 def parse_circle_action(text: str) -> CircleActionSpheres:
     doc = _load_json(text)
     if not isinstance(doc, dict) or "factors" not in doc:
@@ -474,13 +463,3 @@ def parse_circle_action(text: str) -> CircleActionSpheres:
         return CircleActionSpheres(tuple(factors))
     except PreconditionError as exc:
         raise InputFormatError(str(exc))
-
-
-def format_circle_action(act: CircleActionSpheres) -> str:
-    return json.dumps(
-        {
-            "factors": [
-                {"sphere_dim": dim, "weights": list(w)} for dim, w in act.factors
-            ]
-        }
-    )

@@ -480,38 +480,13 @@ class FreeCDGA:
 
 # -- serialization ---------------------------------------------------------------
 #
-# Line format (round-trips exactly; rationals as num or num/den strings):
+# Line format read by parse_model (rationals as num or num/den strings):
 #
 #     model minimal
 #     gen u1 2
 #     gen x1 3
 #     d u1 = 0
 #     d x1 = 1 u1^2 + -1/2 u1*u2
-
-
-def format_polynomial(p: Polynomial, generators: Sequence[Generator]) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in p.sorted_terms():
-        if mono.is_unit():
-            ms = "1"
-        else:
-            ms = "*".join(
-                f"{generators[i].name}^{e}" if e > 1 else generators[i].name
-                for i, e in mono.powers
-            )
-        parts.append(f"{coeff} {ms}")
-    return " + ".join(parts)
-
-
-def format_model(a: FreeCDGA) -> str:
-    lines = [f"model {a.kind}"]
-    for g in a.generators:
-        lines.append(f"gen {g.name} {g.degree}")
-    for i, g in enumerate(a.generators):
-        lines.append(f"d {g.name} = {format_polynomial(a._diff[i], a.generators)}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_polynomial(text: str, name_to_index: Mapping[str, int], where: str = "poly") -> Polynomial:

@@ -19,8 +19,10 @@ produce identical reports for any worker count.  Random mode draws from
 Python's random.Random (MT19937), named in the report config: the chunks are
 drawn in grid order from one generator, so the draw order does not depend on
 the worker count either.  The draw reads MT19937 words in bulk but yields
-the stream of one randint(-B, B) call per slot (see _draw), and a drawn chunk
-holds at most DRAW_CHUNK tuples, so memory does not grow with the count.
+the stream of one randint(-B, B) call per slot (see _draw); for B <= 127 it
+reads each word's top byte through bytes.translate and holds a chunk's values
+as bytes.  A drawn chunk holds at most DRAW_CHUNK tuples, so memory does not
+grow with the count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, compress, islice, pairwise, product, repeat
 from operator import and_, not_
 
@@ -166,6 +168,16 @@ def _fresh_tally() -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _byte_map(bound: int) -> tuple[bytes, bytes]:
+    """For B <= 127: the translate table from a word's top byte to its value as a
+    signed byte, and the top bytes randint rejects (kept bits >= 2B+1)."""
+    width = 2 * bound + 1
+    drop = 8 - width.bit_length()
+    return (bytes(((t >> drop) - bound) & 0xFF for t in range(256)),
+            bytes(t for t in range(256) if t >> drop >= width))
+
+
 def _draw(rng, bound: int, n_factors: int, count: int) -> list:
     """The next count weight tuples of a random grid, as row tuples.
 
@@ -174,19 +186,30 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
     keeps the top k = (2B+1).bit_length() bits of one 32-bit MT19937 word and
     rejects values >= 2B+1; getrandbits(32 * m) returns the next m words,
     least significant first.  Asking for m = the values still needed never
-    takes a word that randint would not have taken.
+    takes a word that randint would not have taken.  For B <= 127, k <= 8, so
+    the kept bits lie in each word's top byte: bytes.translate maps those bytes
+    to signed values and deletes the rejected ones, and the chunk's values are
+    held as bytes.  Above that each word is read as an int.
     """
     width = 2 * bound + 1
-    shift = 32 - width.bit_length()
     total = 4 * n_factors * count
-    values: list[int] = []
-    while need := total - len(values):
-        # an array keeps the words unboxed until read: a tuple of ints would
-        # hold a whole chunk's words as objects at once
-        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        values += [v - bound for w in words if (v := w >> shift) < width]
+    if bound <= 127:
+        table, rejected = _byte_map(bound)
+        drawn = bytearray()
+        while need := total - len(drawn):
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            drawn += words[3::4].translate(table, rejected)
+        values = array("b", drawn)
+    else:
+        shift = 32 - width.bit_length()
+        values = []
+        while need := total - len(values):
+            # an array keeps the words unboxed until read: a tuple of ints would
+            # hold a whole chunk's words as objects at once
+            words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            values += [v - bound for w in words if (v := w >> shift) < width]
     return list(zip(*[zip(*[iter(values)] * 4)] * n_factors))
 
 

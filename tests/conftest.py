@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import product
@@ -105,3 +106,40 @@ def reparametrized(act: TorusActionS3, m) -> TorusActionS3:
             )
         )
     return TorusActionS3(tuple(rows))
+
+
+# -- writers for the input files the parsers read (round-trip tests) ------------------
+
+
+def format_action(act: TorusActionS3) -> str:
+    rows = [{"a": a, "b": b, "k": k, "l": l} for (a, b, k, l) in act.rows]
+    return json.dumps({"n_factors": act.n_factors, "rows": rows})
+
+
+def format_circle_action(act) -> str:
+    factors = [{"sphere_dim": dim, "weights": list(w)} for dim, w in act.factors]
+    return json.dumps({"factors": factors})
+
+
+def format_polynomial(p, generators) -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for mono, coeff in p.sorted_terms():
+        if mono.is_unit():
+            ms = "1"
+        else:
+            ms = "*".join(
+                f"{generators[i].name}^{e}" if e > 1 else generators[i].name
+                for i, e in mono.powers
+            )
+        parts.append(f"{coeff} {ms}")
+    return " + ".join(parts)
+
+
+def format_model(a) -> str:
+    lines = [f"model {a.kind}"]
+    lines += [f"gen {g.name} {g.degree}" for g in a.generators]
+    lines += [f"d {g.name} = {format_polynomial(a._diff[i], a.generators)}"
+              for i, g in enumerate(a.generators)]
+    return "\n".join(lines) + "\n"

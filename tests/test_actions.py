@@ -20,17 +20,13 @@ from torquot import (
     is_free_circle,
     normalize,
 )
-from torquot.actions import (
-    _normalize_rows,
-    format_action,
-    format_circle_action,
-    parse_action,
-    parse_circle_action,
-)
+from torquot.actions import _normalize_rows, parse_action, parse_circle_action
 from torquot.quadforms import pulled_back
 
 from conftest import (
     T1_ROWS,
+    format_action,
+    format_circle_action,
     oracle_is_free,
     permuted,
     random_action,

@@ -18,12 +18,12 @@ from torquot import (
     chi_pi,
     poincare_polynomial_spheres,
 )
-from torquot.cdga import format_model, format_polynomial, parse_model, parse_polynomial
+from torquot.cdga import parse_model, parse_polynomial
 from torquot.classify import build_d_alpha_model, canonical_quotient_model, quotient_model
 from torquot.cli import cli_main
 from torquot.exact import rank_int_rows
 
-from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS
+from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS, format_model, format_polynomial
 from test_classify import _circle_quotient_model
 
 

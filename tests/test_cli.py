@@ -6,10 +6,9 @@ import pytest
 
 import torquot.cli as cli
 from torquot import ClassificationViolation, TorusActionS3
-from torquot.actions import format_action
 from torquot.cli import cli_main
 
-from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS
+from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS, format_action
 
 T1_JSON = json.dumps(
     {

@@ -18,7 +18,6 @@ import torquot.classify as classify
 import torquot.exact as exact
 import torquot.harness as harness
 from torquot import ClassificationViolation, PreconditionError, TorusActionS3
-from torquot.actions import format_action
 from torquot.classify import classify_t2_quotient
 from torquot.cli import cli_main
 from torquot.harness import (
@@ -29,6 +28,8 @@ from torquot.harness import (
     run_profile_campaign,
     run_t2_campaign,
 )
+
+from conftest import format_action
 
 
 def test_grid_spec_validation():
@@ -92,7 +93,8 @@ def _randint_rows(rng, bound, n_factors, count):
     return out
 
 
-@pytest.mark.parametrize("bound", [1, 3, 4, 7, 8, 2 ** 31 - 1])
+# B <= 127 reads each word's top byte (2B+1 < 2**8), B >= 128 the whole word
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 63, 64, 127, 128, 2 ** 31 - 1])
 @pytest.mark.parametrize("n_factors", [2, 3, 4])
 def test_draw_is_the_randint_stream(bound, n_factors):
     for seed in (0, 42, 2 ** 64 - 1):
@@ -102,6 +104,38 @@ def test_draw_is_the_randint_stream(bound, n_factors):
                 slot, bound, n_factors, count
             )
             assert bulk.getstate() == slot.getstate()  # no word over-drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 5), st.integers(1, 50), st.integers(0, 2 ** 64 - 1))
+def test_draw_is_the_randint_stream_for_any_grid(bound, n_factors, count, seed):
+    bulk, slot = random.Random(seed), random.Random(seed)
+    assert harness._draw(bulk, bound, n_factors, count) == _randint_rows(
+        slot, bound, n_factors, count
+    )
+    assert bulk.getstate() == slot.getstate()
+
+
+# random grids above MASK_BOUND are filtered by the walk; read at the parent of the
+# byte draw, so they also freeze the draw: B = 100 reads top bytes, B = 1000 words
+FROZEN_WALK_TOTALS = [
+    (GridSpec(3, 100, mode="random", count=50_000, seed=2026), 48_325, 2_044),
+    (GridSpec(3, 1000, mode="random", count=100_000, seed=2026), 96_570, 4_259),
+]
+
+
+@pytest.mark.parametrize("grid, effective, free", FROZEN_WALK_TOTALS)
+def test_random_campaigns_above_mask_bound_are_frozen(grid, effective, free):
+    assert grid.coefficient_bound > actions.MASK_BOUND
+    report = run_t2_campaign(grid)
+    assert report.totals == {
+        "tested": grid.count,
+        "effective": effective,
+        "free": free,
+        "violations": 0,
+        "kinds": {"S2xS2_PRODUCT": 0, "CP2_CONNSUM_PRODUCT": 0, "T1_S2xS2_PRODUCT": free},
+    }
+    assert report.epsilon_checks == {"checked": 0, "failures": 0}
 
 
 def test_random_campaign_calls_no_randint(monkeypatch):
