@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,9 +59,6 @@ class Monomial:
 
     def degree(self, generators: Sequence[Generator]) -> int:
         return sum(e * generators[i].degree for i, e in self.powers)
-
-    def is_unit(self) -> bool:
-        return not self.powers
 
 
 UNIT = Monomial()
@@ -118,9 +116,6 @@ class Polynomial:
             raise PreconditionError("polynomial is not homogeneous")
         return degs.pop()
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].powers)
-
     def __repr__(self):
         return f"Polynomial({self.terms!r})"
 
@@ -137,19 +132,8 @@ def _merge_monomials(
     left factor.
     """
     o1 = [i for i, _ in p1 if odd[i]]
-    inversions = 0
-    if o1:
-        k = len(o1)
-        for x in (i for i, _ in p2 if odd[i]):
-            # count of o1 entries > x, by bisection (o1 is ascending)
-            lo, hi = 0, k
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if o1[mid] > x:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            inversions += k - lo
+    # o1 is ascending: the o1 entries > x are the last len(o1) - bisect_right(o1, x)
+    inversions = sum(len(o1) - bisect_right(o1, i) for i, _ in p2 if odd[i]) if o1 else 0
     merged: list[tuple[int, int]] = []
     i = j = 0
     while i < len(p1) and j < len(p2):
@@ -306,7 +290,7 @@ class FreeCDGA:
     def __init__(
         self,
         generators: Sequence[Generator],
-        differential: Mapping[int, Polynomial] | Sequence[Polynomial | None] | None = None,
+        differential: Mapping[int, Polynomial] | None = None,
         kind: str = "minimal",
     ):
         gens = tuple(generators)
@@ -315,19 +299,12 @@ class FreeCDGA:
             raise PreconditionError("duplicate generator names")
         if kind not in ("minimal", "relative"):
             raise PreconditionError(f"unknown model kind {kind!r}")
-        if differential is None:
-            diff_list: list[Polynomial] = [Polynomial.zero()] * len(gens)
-        elif isinstance(differential, Mapping):
-            diff_list = [differential.get(i) or Polynomial.zero() for i in range(len(gens))]
-        else:
-            if len(differential) != len(gens):
-                raise PreconditionError("differential list length mismatch")
-            diff_list = [p or Polynomial.zero() for p in differential]
+        differential = differential or {}
 
         self.generators = gens
         self.kind = kind
         self._odd = tuple(g.degree % 2 == 1 for g in gens)
-        self._diff = tuple(diff_list)
+        self._diff = tuple(differential.get(i) or Polynomial.zero() for i in range(len(gens)))
         self._validate()
 
     # -- construction checks ------------------------------------------------

@@ -521,18 +521,6 @@ def _echelon_pencil(rank: int, phi: Form) -> tuple[BinaryQuadraticForm, ...]:
     return F(0, 1, 0), F(0, 0, 1)
 
 
-def _quotient_square_form(forms: Sequence[Form]) -> BinaryQuadraticForm:
-    """The square map (alpha, beta) -> [(alpha*s1 + beta*s2)^2] mod the pencil.
-
-    At rank 2 `_pencil`'s phi has the pencil as kernel, so the induced form
-    phi(alpha^2, 2*alpha*beta, beta^2) is defined up to a nonzero scalar.
-    """
-    rank, _, phi = _pencil(forms)
-    if rank < 2:
-        raise PreconditionError("zero pencil" if rank == 0 else "pencil has rank < 2")
-    return BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
-
-
 def _proof_path_kind(rows: Sequence[Row], shared: dict | None = None) -> tuple[str, int | None]:
     """Classify effective, free rank-2 rows along the normalization/epsilon route.
     shared, one dict for the tuples of one rows[:-1], keeps normalization's common

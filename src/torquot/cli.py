@@ -212,16 +212,8 @@ def _cmd_square_class(args) -> int:
 
 
 def _cmd_verify_t2(args) -> int:
-    if args.random is not None:
-        if args.seed is None:
-            raise PreconditionError("--random needs an explicit --seed")
-        grid = GridSpec(
-            args.factors, args.bound, mode="random", count=args.random, seed=args.seed
-        )
-    else:
-        if args.seed is not None:
-            raise PreconditionError("--seed only applies with --random")
-        grid = GridSpec(args.factors, args.bound)
+    mode = "exhaustive" if args.random is None else "random"
+    grid = GridSpec(args.factors, args.bound, mode=mode, count=args.random, seed=args.seed)
     report = run_t2_campaign(grid, jobs=args.jobs)
     _emit(report.to_record(), args.format)
     return EXIT_VIOLATION if report.totals["violations"] else EXIT_OK

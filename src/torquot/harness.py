@@ -10,19 +10,20 @@ AND of each tuple's row masks (`actions._row_masks`; 0 iff effective and
 free), over a drawn chunk a factor's slice at a time and over the odometer a
 block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of
 the N-1 leading rows' masks and share the block's pencil and one dict for the
-proof path's common work.  A random grid above it walks each tuple.
+proof path's common work.  A random grid above it walks each tuple.  A chunk's
+tally is one flat dict of counts (_TALLY); the report nests the kinds.
 
 Determinism contract: the grid is statically partitioned into contiguous
-chunks, per-chunk tallies are merged by commutative addition, and witness
-lists are sorted canonically, so identical grid specs (including the seed)
-produce identical reports for any worker count.  Random mode draws from
-Python's random.Random (MT19937), named in the report config: the chunks are
-drawn in grid order from one generator, so the draw order does not depend on
-the worker count either.  The draw reads MT19937 words in bulk but yields
-the stream of one randint(-B, B) call per slot (see _draw); for B <= 127 it
-reads each word's top byte through bytes.translate and holds a chunk's values
-as bytes.  A drawn chunk holds at most DRAW_CHUNK tuples, so memory does not
-grow with the count.
+chunks (whole blocks for an exhaustive grid), per-chunk tallies are merged by
+commutative addition, and witness lists are sorted canonically, so identical
+grid specs (including the seed) produce identical reports for any worker
+count.  Random mode draws from Python's random.Random (MT19937), named in the
+report config: the chunks are drawn in grid order from one generator, so the
+draw order does not depend on the worker count either.  The draw reads MT19937
+words in bulk but yields the stream of one randint(-B, B) call per slot (see
+_draw); for B <= 127 it reads each word's top byte through bytes.translate and
+holds a chunk's values as bytes.  A drawn chunk holds at most DRAW_CHUNK
+tuples, so memory does not grow with the count.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ class CampaignReport:
         return record
 
 
+_TALLY = ("tested", "effective", "free", "violations", "epsilon_checked", *T2_KINDS)
+
+
 def _classify_rows(rows, pencil, shared, tally, witnesses):
     try:
         kind, epsilon = _classify_free_rows(rows, pencil, shared)
@@ -152,20 +156,9 @@ def _classify_rows(rows, pencil, shared, tally, witnesses):
             }
         )
         return
-    tally["kinds"][kind] += 1
+    tally[kind] += 1
     if epsilon is not None:
         tally["epsilon_checked"] += 1
-
-
-def _fresh_tally() -> dict:
-    return {
-        "tested": 0,
-        "effective": 0,
-        "free": 0,
-        "violations": 0,
-        "epsilon_checked": 0,
-        "kinds": {kind: 0 for kind in T2_KINDS},
-    }
 
 
 @lru_cache(maxsize=None)
@@ -238,25 +231,24 @@ def _drawn_free(grid, actions, tally):
 
 def _odometer_free(grid, lo, hi, tally):
     """The effective, free tuples with odometer index in [lo, hi) and their pencils,
-    a block of last rows per prefix of N-1 rows; a block cut by lo or hi is sliced.
-    A block's survivors depend only on its cut and the AND of its prefix's row
-    masks, so are kept by those.  Each pencil is the prefix's folded on by the last row's form,
-    and the tuples of a block share one dict for `classify._proof_path_kind`'s common work."""
+    a whole block of last rows per prefix of N-1 rows (lo and hi are multiples of
+    the block size).  A block's survivors depend only on the AND of its prefix's
+    row masks, so are kept by it.  Each pencil is the prefix's folded on by the last
+    row's form, and the tuples of a block share one dict for
+    `classify._proof_path_kind`'s common work."""
     bound = grid.coefficient_bound
     table, effective_bits = _row_masks(bound)
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
     last = list(zip(map(table.__getitem__, last_rows), zip(last_rows, _forms(last_rows))))
     size = len(last_rows)
-    survivors: dict = {}  # (prefix mask, first, end) -> (effective count, free (row, form)s)
-    prefixes = islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, None)
-    for start, prefix in zip(range(lo - lo % size, hi, size), prefixes):
-        first, end = max(lo - start, 0), min(hi - start, size)
+    survivors: dict = {}  # prefix mask -> (effective count, free (row, form)s)
+    tally["tested"] += hi - lo
+    for prefix in islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, hi // size):
         mask = reduce(and_, map(table.__getitem__, prefix))
-        if (key := (mask, first, end)) not in survivors:
-            survivors[key] = (sum(not mask & m & effective_bits for m, _ in last[first:end]),
-                              [row_form for m, row_form in last[first:end] if not mask & m])
-        n_effective, free = survivors[key]
-        tally["tested"] += end - first
+        if mask not in survivors:
+            survivors[mask] = (sum(not mask & m & effective_bits for m, _ in last),
+                               [row_form for m, row_form in last if not mask & m])
+        n_effective, free = survivors[mask]
         tally["effective"] += n_effective
         tally["free"] += len(free)
         if free:
@@ -273,7 +265,7 @@ def _scan(args) -> tuple[dict, list]:
     last slot varies fastest), a block of last rows per prefix of N-1 rows.
     """
     grid, lo, hi, actions = args
-    tally = _fresh_tally()
+    tally = dict.fromkeys(_TALLY, 0)
     witnesses: list = []
     free = (_odometer_free(grid, lo, hi, tally) if actions is None
             else _drawn_free(grid, actions, tally))
@@ -292,13 +284,11 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def _merge(parts) -> tuple[dict, list]:
-    tally = _fresh_tally()
+    tally = dict.fromkeys(_TALLY, 0)
     witnesses: list = []
     for part_tally, part_witnesses in parts:
-        for key in ("tested", "effective", "free", "violations", "epsilon_checked"):
+        for key in _TALLY:
             tally[key] += part_tally[key]
-        for kind in T2_KINDS:
-            tally["kinds"][kind] += part_tally["kinds"][kind]
         witnesses.extend(part_witnesses)
     witnesses.sort(key=lambda w: w["rows"])
     return tally, witnesses
@@ -322,29 +312,31 @@ def run_t2_campaign(grid: GridSpec, jobs: int | None = None) -> CampaignReport:
     jobs = resolve_jobs(jobs)
     start = time.monotonic()
 
-    total = grid.tuple_count
-    n_chunks = min(jobs * 4, total)
+    # an exhaustive grid is cut into whole blocks of (2B+1)^4 tuples, a random one anywhere
     rng = random.Random(grid.seed) if grid.mode == "random" else None
-    if rng is not None:
-        n_chunks = max(n_chunks, -(-total // DRAW_CHUNK))
     b = grid.coefficient_bound
+    unit = 1 if rng is not None else (2 * b + 1) ** 4
+    units = grid.tuple_count // unit
+    n_chunks = min(jobs * 4, units)
+    if rng is not None:
+        n_chunks = max(n_chunks, -(-units // DRAW_CHUNK))
     # chunks in grid order from one generator, each drawn just before it is
     # scanned (jobs=1) or submitted (jobs>1), and merged as its result arrives
     work = (
         (grid, lo, hi, None if rng is None else _draw(rng, b, grid.n_factors, hi - lo))
-        for lo, hi in pairwise(total * i // n_chunks for i in range(n_chunks + 1))
+        for lo, hi in pairwise(unit * (units * i // n_chunks) for i in range(n_chunks + 1))
     )
     tally, witnesses = _merge(map(_scan, work) if jobs == 1 else _pooled(work, jobs))
-    epsilon_checks = {
-        "checked": tally.pop("epsilon_checked"),
-        "failures": sum(1 for w in witnesses if w["epsilon_related"]),
-    }
     return CampaignReport(
-        totals=tally,
+        totals={key: tally[key] for key in _TALLY[:4]}
+        | {"kinds": {kind: tally[kind] for kind in T2_KINDS}},
         violation_witnesses=witnesses,
         wall_time=time.monotonic() - start,
         config=grid.config_echo(),
-        epsilon_checks=epsilon_checks,
+        epsilon_checks={
+            "checked": tally["epsilon_checked"],
+            "failures": sum(1 for w in witnesses if w["epsilon_related"]),
+        },
     )
 
 

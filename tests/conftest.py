@@ -6,6 +6,8 @@ from itertools import product
 import pytest
 
 from torquot import TorusActionS3
+from torquot.classify import _pencil
+from torquot.quadforms import BinaryQuadraticForm
 
 # the three reference actions used throughout: the unit-tangent-bundle
 # action, Hopf x Hopf x trivial, and the mixed action with anisotropic pencil
@@ -85,6 +87,17 @@ def random_unimodular(rng: random.Random, steps: int = 4):
     return m
 
 
+def quotient_square_form(forms) -> BinaryQuadraticForm:
+    """The square map (alpha, beta) -> [(alpha*s1 + beta*s2)^2] mod a rank-2 pencil.
+
+    `_pencil`'s phi has the pencil as kernel, so the induced form
+    phi(alpha^2, 2*alpha*beta, beta^2) is defined up to a nonzero scalar.
+    """
+    rank, _, phi = _pencil(forms)
+    assert rank == 2
+    return BinaryQuadraticForm(phi[0], 2 * phi[1], phi[2])
+
+
 def permuted(act: TorusActionS3, perm) -> TorusActionS3:
     """Action with its sphere factors reordered: row i is act.rows[perm[i]]."""
     return TorusActionS3(tuple(act.rows[p] for p in perm))
@@ -125,8 +138,8 @@ def format_polynomial(p, generators) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for mono, coeff in p.sorted_terms():
-        if mono.is_unit():
+    for mono, coeff in sorted(p.terms.items()):
+        if not mono.powers:
             ms = "1"
         else:
             ms = "*".join(

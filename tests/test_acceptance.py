@@ -33,13 +33,11 @@ from torquot import (
     square_class_isomorphic,
 )
 from torquot.actions import CircleActionSpheres, _free_rows, circle_euler_data
-from torquot.classify import (
-    _quotient_square_form,
-    canonical_quotient_model,
-    quotient_model,
-)
+from torquot.classify import canonical_quotient_model, quotient_model
 from torquot.cli import cli_main
 from torquot.harness import GridSpec, run_t2_campaign
+
+from conftest import quotient_square_form
 
 EXHAUSTIVE_GRID = GridSpec(3, 1)
 RANDOM_GRID = GridSpec(4, 3, mode="random", count=100_000, seed=42)
@@ -215,7 +213,7 @@ def test_criterion_4_betti_oracle_agreement():
         elif betti != betti[::-1]:  # Poincare duality
             mismatches += 1
         elif result.rank_d3 == 2:
-            q = _quotient_square_form(result.pencil)
+            q = quotient_square_form(result.pencil)
             if q.isotropy() != canonical_isotropy[result.kind]:
                 mismatches += 1
     _criterion(
@@ -255,7 +253,7 @@ def test_criterion_4b_betti_oracle_on_every_15th_free_action():
         if betti != canonical_betti[result.kind] or betti != betti[::-1]:
             mismatches += 1
         elif result.rank_d3 == 2:
-            q = _quotient_square_form(result.pencil)
+            q = quotient_square_form(result.pencil)
             if q.isotropy() != canonical_isotropy[result.kind]:
                 mismatches += 1
     checked = sum(counts.values())

@@ -33,7 +33,6 @@ from torquot.classify import (
     T1_S2XS2_PRODUCT,
     _echelon_pencil,
     _pencil,
-    _quotient_square_form,
     canonical_quotient_model,
     quotient_model,
 )
@@ -42,7 +41,13 @@ import torquot.classify as classify
 from torquot.actions import _forms
 from torquot.exact import rank_int_rows, unimodular_complement
 
-from conftest import permuted, random_action, random_unimodular, reparametrized
+from conftest import (
+    permuted,
+    quotient_square_form,
+    random_action,
+    random_unimodular,
+    reparametrized,
+)
 
 
 # -- rank bounds -------------------------------------------------------------------
@@ -168,7 +173,7 @@ def test_classify_hopf_hopf_trivial(hopf_action):
     # the pencil is {s1^2, s2^2}; the square map is 2*alpha*beta up to
     # scale, an isotropic form with square discriminant
     assert {f.coefficients() for f in res.pencil} == {(1, 0, 0), (0, 0, 1)}
-    q = _quotient_square_form(res.pencil)
+    q = quotient_square_form(res.pencil)
     assert q.isotropy() == "isotropic"
 
 
@@ -178,7 +183,7 @@ def test_classify_connected_sum(cp2_action):
     assert res.rank_d3 == 2
     assert res.trailing_s3 == 1
     assert res.epsilon == -1
-    q = _quotient_square_form(res.pencil)
+    q = quotient_square_form(res.pencil)
     assert q.isotropy() == "anisotropic"
     disc = q.discriminant
     from torquot import is_rational_square

@@ -202,6 +202,12 @@ def test_verify_t2_random_needs_seed(capsys):
     assert code == 1
 
 
+def test_verify_t2_seed_needs_random(capsys):
+    code, err = run_cli_err(capsys, "verify-t2", "--factors", "2", "--bound", "1", "--seed", "3")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_t2_refuses_bounds_past_32_bit_words(capsys):
     code, err = run_cli_err(
         capsys,

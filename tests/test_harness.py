@@ -163,7 +163,10 @@ class InlinePool:  # stands in for the process pool: scans each chunk in this pr
         return future
 
 
-def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
+@pytest.mark.parametrize("jobs", [3, 64])
+def test_exhaustive_chunks_are_the_odometer_in_rows(jobs, monkeypatch):
+    # an exhaustive grid is cut into whole blocks of 3^4 tuples: at jobs 64 the
+    # 4 * jobs = 256 chunks shrink to the grid's 81 blocks, one block each
     seen, chunks = [], []
 
     class RecordingPool(InlinePool):
@@ -179,9 +182,10 @@ def test_exhaustive_chunks_are_the_odometer_in_rows(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_classify_free_rows", recording_classify)
-    run_t2_campaign(GridSpec(2, 1), jobs=3)
+    run_t2_campaign(GridSpec(2, 1), jobs=jobs)
     odometer = [(flat[0:4], flat[4:8]) for flat in itertools.product(range(-1, 2), repeat=8)]
-    assert len(chunks) == 12
+    assert len(chunks) == {3: 12, 64: 81}[jobs]
+    assert all(lo % 81 == 0 and hi % 81 == 0 for lo, hi, _, _ in chunks)
     assert [lo for lo, _, _, _ in chunks[1:]] == [hi for _, hi, _, _ in chunks[:-1]]
     assert chunks[0][0] == 0 and chunks[-1][1] == len(odometer)
     for lo, hi, rows, tally in chunks:
@@ -198,7 +202,9 @@ def _per_tuple_report(n_factors, bound):
     # the campaign's totals and epsilon count, tallied one odometer tuple at a
     # time with the per-tuple filter and the pencil of the whole tuple, and
     # each free tuple's (kind, epsilon), one shared object per outcome
-    tally, verdicts, outcomes = harness._fresh_tally(), {}, {}
+    tally = {"tested": 0, "effective": 0, "free": 0, "violations": 0,
+             "kinds": dict.fromkeys(classify.T2_KINDS, 0)}
+    checked, verdicts, outcomes = 0, {}, {}
     row_values = list(itertools.product(range(-bound, bound + 1), repeat=4))
     for rows in itertools.product(row_values, repeat=n_factors):
         tally["tested"] += 1
@@ -210,16 +216,15 @@ def _per_tuple_report(n_factors, bound):
                 outcome = classify._classify_free_rows(rows, pencil)
                 verdicts[rows] = outcomes.setdefault(outcome, outcome)
                 tally["kinds"][outcome[0]] += 1
-                tally["epsilon_checked"] += outcome[1] is not None
-    checked = tally.pop("epsilon_checked")
+                checked += outcome[1] is not None
     return tally, {"checked": checked, "failures": 0}, verdicts
 
 
 @pytest.mark.parametrize("jobs", [1, 3, 7])
 @pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
 def test_exhaustive_scan_equals_the_per_tuple_filter(shape, jobs, monkeypatch):
-    # 4 * jobs chunks of a grid whose blocks of (2B+1)^4 tuples share their
-    # leading rows: at jobs 3 and 7 chunk boundaries cut blocks.  The
+    # 4 * jobs chunks of whole blocks of (2B+1)^4 tuples, which share their
+    # leading rows: at jobs 3 and 7 the chunks hold unequal numbers of blocks.  The
     # classifier looks up the reference's verdicts, so each run costs one
     # scan, and a tuple the reference did not pass fails it with a KeyError
     totals, epsilon_checks, verdicts = _per_tuple_report(*shape)
@@ -235,8 +240,8 @@ def test_block_pencils_equal_the_per_tuple_pencils(shape, monkeypatch):
     # the odometer folds each free last row's form into its prefix's pencil:
     # that must be the whole tuple's pencil and give the reference's (kind,
     # epsilon); a rank-2 tuple goes down the proof path exactly once, and
-    # normalization reparametrizes once per block (the tuples of one prefix in
-    # one chunk) and reduced slot-1 pair (a1/d, k1/d) among its rank-2 tuples
+    # normalization reparametrizes once per block (the tuples of one prefix)
+    # and reduced slot-1 pair (a1/d, k1/d) among its rank-2 tuples
     _, _, verdicts = _per_tuple_report(*shape)
     proof_path = _count_calls(monkeypatch, classify, "_proof_path_kind")
     chunks, triples, complements, rank2 = [], set(), [], [0]
@@ -357,7 +362,7 @@ def test_jobs_do_not_change_report():
     seq = run_t2_campaign(grid, jobs=1)
     par = run_t2_campaign(grid, jobs=2)
     assert seq.comparable() == par.comparable()
-    # 12 chunks of 6,561 tuples: uneven chunk sizes
+    # 12 chunks of the 81 blocks: uneven chunk sizes (6 or 7 blocks)
     assert run_t2_campaign(grid, jobs=3).comparable() == seq.comparable()
     rnd = GridSpec(3, 1, mode="random", count=2000, seed=5)
     assert (
