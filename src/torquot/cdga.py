@@ -414,10 +414,16 @@ class FreeCDGA:
         b_q = dim ker(d_q) - rank(d_{q-1})
             = (#basis_q - rank d_q) - rank d_{q-1}.
 
-        d_q is filled as integer rows: _differential_shape, plus each d(x_i).
+        d_q is filled as integer rows: _differential_shape, plus each d(x_i)
+        times L, the lcm of every image coefficient's denominator.  d_q is
+        linear in the images, so that scales each d_q by L and no rank changes.
         """
         if max_degree < 0:
             raise PreconditionError("max_degree must be >= 0")
+        scale = 1
+        for img in self._diff:
+            for c in img.terms.values():
+                scale = math.lcm(scale, c.denominator)
         images = []
         for i, img in enumerate(self._diff):
             terms = []
@@ -426,10 +432,9 @@ class FreeCDGA:
                 sign_mask = 0  # Koszul sign: odd generators strictly between gi and i
                 for gi in odd:
                     sign_mask ^= (1 << max(gi, i)) - (1 << (min(gi, i) + 1))
-                c = c.numerator if c.denominator == 1 else c
+                c = c.numerator * (scale // c.denominator)
                 terms.append((mono.powers, c, sum(1 << gi for gi in odd), sign_mask))
             images.append(terms)
-        rational = any(type(t[1]) is not int for terms in images for t in terms)
         degrees = tuple(g.degree for g in self.generators)
         betti, ranks = [], [0]
         for q in range(max_degree + 1):
@@ -446,11 +451,8 @@ class FreeCDGA:
                             if (mask & sign_mask).bit_count() & 1:
                                 c = -c
                         row[index[base + t]] += f * c
-                if rational:
-                    scale = math.lcm(*(c.denominator for c in row))
-                    row = [int(c * scale) for c in row]
                 rows.append(row)
-            ranks.append(rank_int_rows(rows) if shape and index else 0)
+            ranks.append(rank_int_rows(rows))
             betti.append(len(shape) - ranks[-1] - ranks[-2])
         return betti
 

@@ -209,10 +209,9 @@ def enumerate_profiles(n: int, k: int, mode: str) -> list[HomotopyProfile]:
             yield {}
             return
         j = even_degrees[idx]
-        # degree 2 costs 2 per unit against the shifted bound, degree 2j costs 2j
-        cost = 2 if j == 2 else j
-        for v in range(budget // cost + 1):
-            for rest in even_assignments(idx + 1, budget - v * cost):
+        # each unit of even degree j costs j against the shifted bound
+        for v in range(budget // j + 1):
+            for rest in even_assignments(idx + 1, budget - v * j):
                 if v:
                     out = {j: v}
                     out.update(rest)
@@ -271,7 +270,7 @@ def canonical_quotient_model(kind: str, n_factors: int) -> FreeCDGA:
 
 
 def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
-    """The dimension 3m+4 model with d(x1) = u1*u2, d(x2) = u1^2 + alpha*u2^2.
+    """The dimension 3m+4 model with d(x1) = s1*s2, d(x2) = s1^2 + alpha*s2^2.
 
     Distinct square classes of alpha give non-isomorphic models with
     identical Betti numbers, so alpha is required to be nonzero.
@@ -281,16 +280,7 @@ def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
         raise PreconditionError("alpha must be nonzero")
     if m < 0:
         raise PreconditionError("m must be >= 0")
-    gens = [Generator("u1", 2), Generator("u2", 2)]
-    gens += [Generator(f"x{i+1}", 3) for i in range(m + 2)]
-    u1u1 = Monomial(((0, 2),))
-    u1u2 = Monomial(((0, 1), (1, 1)))
-    u2u2 = Monomial(((1, 2),))
-    differential = {
-        2: Polynomial({u1u2: Fraction(1)}),
-        3: Polynomial({u1u1: Fraction(1), u2u2: alpha}),
-    }
-    return FreeCDGA(gens, differential, kind="minimal")
+    return model_from_forms(((0, 1, 0), (1, 0, alpha)) + ((0, 0, 0),) * m)
 
 
 def square_class_isomorphic(alpha, beta) -> bool:

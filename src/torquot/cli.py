@@ -77,61 +77,6 @@ def _read(path: str) -> str:
         raise PreconditionError(f"cannot read {path}: {exc}")
 
 
-def _add_format(sub):
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="torquot")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a T^2 quotient of a product of S^3")
-    p.add_argument("action_file")
-    _add_format(p)
-
-    p = sub.add_parser("free-check", help="effectiveness and freeness of an action")
-    p.add_argument("action_file")
-    _add_format(p)
-
-    p = sub.add_parser("normalize", help="bring an action to the reduced form")
-    p.add_argument("action_file")
-    _add_format(p)
-
-    p = sub.add_parser("betti", help="Betti numbers of a model file")
-    p.add_argument("model_file")
-    p.add_argument("--max-deg", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("profiles", help="admissible homotopy profiles")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("almost_free", "effective_max"), required=True)
-    _add_format(p)
-
-    p = sub.add_parser("circle-classify", help="classify a circle quotient")
-    p.add_argument("circle_file")
-    _add_format(p)
-
-    p = sub.add_parser("square-class", help="rational square-class equivalence")
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    _add_format(p)
-
-    p = sub.add_parser("verify-t2", help="grid campaign against the T^2 classification")
-    p.add_argument("--factors", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--random", type=int, default=None, metavar="COUNT")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    _add_format(p)
-
-    p = sub.add_parser("verify-profiles", help="profile enumeration against closed forms")
-    p.add_argument("--n-max", type=int, required=True)
-    _add_format(p)
-
-    return parser
-
-
 def _cmd_classify(args) -> int:
     act = parse_action(_read(args.action_file))
     result = classify_t2_quotient(act)
@@ -225,17 +170,57 @@ def _cmd_verify_profiles(args) -> int:
     return EXIT_VIOLATION if report.totals["violations"] else EXIT_OK
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "free-check": _cmd_free_check,
-    "normalize": _cmd_normalize,
-    "betti": _cmd_betti,
-    "profiles": _cmd_profiles,
-    "circle-classify": _cmd_circle_classify,
-    "square-class": _cmd_square_class,
-    "verify-t2": _cmd_verify_t2,
-    "verify-profiles": _cmd_verify_profiles,
-}
+def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.set_defaults(run=run)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="torquot")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = _add_command(sub, "classify", _cmd_classify, "classify a T^2 quotient of a product of S^3")
+    p.add_argument("action_file")
+
+    p = _add_command(sub, "free-check", _cmd_free_check, "effectiveness and freeness of an action")
+    p.add_argument("action_file")
+
+    p = _add_command(sub, "normalize", _cmd_normalize, "bring an action to the reduced form")
+    p.add_argument("action_file")
+
+    p = _add_command(sub, "betti", _cmd_betti, "Betti numbers of a model file")
+    p.add_argument("model_file")
+    p.add_argument("--max-deg", type=int, required=True)
+
+    p = _add_command(sub, "profiles", _cmd_profiles, "admissible homotopy profiles")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--mode", choices=("almost_free", "effective_max"), required=True)
+
+    p = _add_command(sub, "circle-classify", _cmd_circle_classify, "classify a circle quotient")
+    p.add_argument("circle_file")
+
+    p = _add_command(sub, "square-class", _cmd_square_class, "rational square-class equivalence")
+    p.add_argument("alpha")
+    p.add_argument("beta")
+
+    p = _add_command(
+        sub, "verify-t2", _cmd_verify_t2, "grid campaign against the T^2 classification"
+    )
+    p.add_argument("--factors", type=int, required=True)
+    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--random", type=int, default=None, metavar="COUNT")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None)
+
+    p = _add_command(
+        sub, "verify-profiles", _cmd_verify_profiles, "profile enumeration against closed forms"
+    )
+    p.add_argument("--n-max", type=int, required=True)
+
+    return parser
 
 
 def cli_main(argv=None) -> int:
@@ -245,7 +230,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PRECONDITION
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ClassificationViolation as exc:
         record = {
             "kind": None,

@@ -49,48 +49,33 @@ def det2(a: int, b: int, c: int, d: int) -> int:
 def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination.
 
-    Pivots are chosen with the smallest bit-length among the remaining
-    submatrix to bound coefficient growth; every interior division is exact.
+    Columns are taken in order; each pivot is the column's first nonzero
+    entry at or below the current row, and only rows are swapped.  Every
+    entry is then a minor of the input, so every division is exact.
+    0 for no rows or no columns.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    while rank < nrows and rank < ncols:
-        # smallest-bit-length nonzero pivot in the trailing submatrix
-        best = None
-        for i in range(rank, nrows):
-            mi = m[i]
-            for j in range(rank, ncols):
-                v = mi[j]
-                if v:
-                    b = abs(v).bit_length()
-                    if best is None or b < best[0]:
-                        best = (b, i, j)
-                        if b == 1:
-                            break
-            if best is not None and best[0] == 1:
+    rank, prev = 0, 1
+    for col in range(ncols):
+        for pi in range(rank, nrows):
+            if m[pi][col]:
                 break
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != rank:
-            m[rank], m[pi] = m[pi], m[rank]
-        if pj != rank:
-            for r in m:
-                r[rank], r[pj] = r[pj], r[rank]
-        pivot = m[rank][rank]
+        else:
+            continue
+        m[rank], m[pi] = m[pi], m[rank]
+        top = m[rank]
+        pivot = top[col]
         for i in range(rank + 1, nrows):
             mi = m[i]
-            f = mi[rank]
+            f = mi[col]
             if f:
-                for j in range(rank + 1, ncols):
-                    mi[j] = (pivot * mi[j] - f * m[rank][j]) // prev
-                mi[rank] = 0
+                for j in range(col + 1, ncols):
+                    mi[j] = (pivot * mi[j] - f * top[j]) // prev
             elif prev != pivot:
-                for j in range(rank + 1, ncols):
-                    mi[j] = (pivot * mi[j]) // prev
+                for j in range(col + 1, ncols):
+                    mi[j] = pivot * mi[j] // prev
         prev = pivot
         rank += 1
     return rank

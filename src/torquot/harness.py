@@ -45,6 +45,7 @@ from .classify import (
     _classify_free_rows,
     _pencil,
     enumerate_profiles,
+    max_almost_free_rank,
     max_effective_rank,
 )
 from .errors import ClassificationViolation, PreconditionError
@@ -391,7 +392,8 @@ def run_profile_campaign(n_max: int) -> CampaignReport:
     start = time.monotonic()
     checks = []
     for n in range(3, n_max + 1):
-        checks.append((n, "almost_free", max(n // 3, 1), expected_almost_free_profiles(n)))
+        k = max_almost_free_rank(n)[0]
+        checks.append((n, "almost_free", k, expected_almost_free_profiles(n)))
         if n % 3 == 1:
             checks.append(
                 (n, "effective_max", max_effective_rank(n), expected_effective_max_profiles(n))

@@ -589,7 +589,7 @@ def test_d_alpha_rejects_zero():
 
 def test_d_alpha_dimension_scaling():
     model = build_d_alpha_model(Fraction(2, 3), 2)
-    assert len(model.generators) == 6  # u1, u2, x1..x4
+    assert len(model.generators) == 6  # s1, s2, x1..x4
     betti = model.betti_numbers(10)
     assert betti[0] == 1 and betti[10] == 1  # n = 3m + 4 = 10, duality top
 

@@ -354,3 +354,63 @@ def test_classify_and_normalize_many_factors_finish(tmp_path):
     (a1, b1, k1, l1), (_, _, k2, l2) = record["rows"][:2]
     assert len(record["rows"]) == 40
     assert a1 != 0 and k1 == 0 and (b1, l1) != (0, 0) and k2 * l2 != 0
+
+
+# each case reaches one refusal of a file reader; the fragment names it
+BAD_ACTION_FILES = [
+    ("[]", "object with a 'rows' field"),
+    ('{"rows": []}', "non-empty list"),
+    ('{"rows": [[1, 0, 0, 1]]}', "rows[0]: expected an object"),
+]
+
+BAD_CIRCLE_FILES = [
+    ('{"factors": []}', "non-empty list"),
+    ('{"factors": [{"sphere_dim": 3, "weights": 1}]}', "weights: expected a list"),
+    ('{"factors": [{"sphere_dim": 5, "weights": [1, 1]}]}', "S^5 carries 3 weights, got 2"),
+    ('{"factors": [{"sphere_dim": 1, "weights": [1]}]}', "sphere dimension 1 < 2"),
+    ('{"factors": [{"sphere_dim": 3, "weights": [1, 1]}]}', "exactly one S^5 factor, got 0"),
+]
+
+BAD_MODEL_FILES = [
+    ("gen u1\n", "expected 'gen <name> <degree>'"),
+    ("gen u1 x\n", "bad degree 'x'"),
+    ("gen 1x 2\n", "bad generator name '1x'"),
+    ("gen u1 2\nd u1 0\n", "expected 'd <name> = <poly>'"),
+    ("# comments only\n", "declares no generators"),
+    ("gen u1 2\nd v = 0\n", "d of unknown generator 'v'"),
+    ("model foo\ngen u1 2\n", "unknown model kind 'foo'"),
+]
+
+
+def _refused(capsys, tmp_path, text, fragment, command, *options):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, err = run_cli_err(capsys, command, str(path), *options)
+    assert code == 1
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, fragment", BAD_ACTION_FILES)
+def test_classify_refuses_bad_action_files(capsys, tmp_path, text, fragment):
+    _refused(capsys, tmp_path, text, fragment, "classify")
+
+
+@pytest.mark.parametrize("text, fragment", BAD_CIRCLE_FILES)
+def test_circle_classify_refuses_bad_circle_files(capsys, tmp_path, text, fragment):
+    _refused(capsys, tmp_path, text, fragment, "circle-classify")
+
+
+@pytest.mark.parametrize("text, fragment", BAD_MODEL_FILES)
+def test_betti_refuses_bad_model_files(capsys, tmp_path, text, fragment):
+    _refused(capsys, tmp_path, text, fragment, "betti", "--max-deg", "3")
+
+
+def test_verify_t2_table_nests_the_report(capsys):
+    code, out = run_cli(
+        capsys, "verify-t2", "--factors", "2", "--bound", "1", "--format", "table"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "totals:" and "epsilon_checks:" in lines
+    assert lines.index("  kinds:") < lines.index("    S2xS2_PRODUCT        672")

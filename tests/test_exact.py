@@ -98,6 +98,16 @@ def test_rank_agrees_with_prime_field():
         rat = [[Fraction(v, d) for v in row] for row, d in zip(num_rows, dens)]
         # row scaling by units of GF(p) does not change rank mod p
         assert rank_int_rows(_cleared(rat)) == _rank_mod_p(num_rows, p)
+    # sparse matrices up to 8 x 8, about half zeros: zero columns and pivots
+    # below the current row occur.  Every minor is at most (2 sqrt 8)^8 < p by
+    # Hadamard's bound, so the rank mod p is the rank over Q
+    for _ in range(1000):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [
+            [rng.choice((0, 0, 0, 0, -2, -1, 1, 2)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        assert rank_int_rows(rows) == _rank_mod_p(rows, p)
 
 
 def test_unimodular_complement_identity():
@@ -180,6 +190,7 @@ def test_square_scaling_invariance(a, b):
 
 def test_rank_int_rows_rectangular():
     assert rank_int_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    assert rank_int_rows([[0, 1, 2], [0, 2, 4], [0, 0, 3]]) == 2
     assert rank_int_rows([[5]]) == 1
     assert rank_int_rows([[0]]) == 0
 
