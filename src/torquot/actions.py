@@ -8,16 +8,16 @@ so the action is a list of integer quadruples (a_i, b_i, k_i, l_i).  The
 action is effective iff gcd(all a,b) = gcd(all k,l) = 1, and free iff every
 selection of one exponent pair per factor generates the full weight lattice.
 A selection fails exactly when it lies in a sublattice of prime index p, the
-preimage of a line in F_p^2, so the action is free iff no prime p and line
-L in F_p^2 hold one exponent pair of every factor mod p; `_free_rows` decides
-that in polynomial time.  With entries in [-B, B] the primes p <= 2B^2 are
-enough: a selection fails iff the gcd d of its 2x2 minors is not 1; for d > 1
-a prime p | d divides a nonzero minor, so p <= 2B^2, and for d = 0 the
-selection has rank <= 1 and lies on a line mod 2.  For B <= MASK_BOUND
-`_row_masks` gives each row a bitmask of its failures, and the AND of a
-tuple's masks decides both properties.  Circle actions on products of odd
-spheres carry one weight per complex coordinate and the analogous
-one-weight-per-factor selection criterion: every selection must have gcd 1.
+preimage of a line in F_p^2, so the action is free iff no prime p and line L in
+F_p^2 hold one exponent pair of every factor mod p; `_free_rows` decides that in
+polynomial time, the last factor folded into a walk over the others.  With entries
+in [-B, B] the primes p <= 2B^2 are enough: a selection fails iff the gcd d of its
+2x2 minors is not 1; for d > 1 a prime p | d divides a nonzero minor, so p <= 2B^2,
+and for d = 0 the selection has rank <= 1 and lies on a line mod 2.  For B <=
+MASK_BOUND `_row_masks` gives each row a bitmask of its failures, and the AND of a
+tuple's masks decides both properties.  Circle actions on products of odd spheres
+carry one weight per complex coordinate and the analogous one-weight-per-factor
+selection criterion: every selection must have gcd 1.
 """
 
 from __future__ import annotations
@@ -104,17 +104,67 @@ class NormalizedActionS3:
 # -- effectiveness and freeness ------------------------------------------------
 
 
-def _effective_rows(rows: Sequence[Row]) -> bool:
-    """gcd(all a, b) == gcd(all k, l) == 1."""
+def _effective_prefix(rows: Sequence[Row]) -> tuple[int, int]:
+    """(gcd of all a, b; gcd of all k, l) over rows, the state `_effective_last` reads."""
     g_ab = g_kl = 0
     for a, b, k, l in rows:
         g_ab = math.gcd(g_ab, a, b)
         g_kl = math.gcd(g_kl, k, l)
-    return g_ab == 1 and g_kl == 1
+    return g_ab, g_kl
+
+
+def _effective_last(state: tuple[int, int], row: Row) -> bool:
+    """Whether the `_effective_prefix` state's rows, then row, are effective."""
+    return math.gcd(state[0], row[0], row[1]) == 1 and math.gcd(state[1], row[2], row[3]) == 1
+
+
+def _effective_rows(rows: Sequence[Row]) -> bool:
+    """gcd(all a, b) == gcd(all k, l) == 1."""
+    return _effective_last(_effective_prefix(rows[:-1]), rows[-1])
 
 
 def is_effective(act: TorusActionS3) -> bool:
     return _effective_rows(act.rows)
+
+
+def _free_prefix(rows: Sequence[Row]) -> tuple[tuple[int, int, int], ...] | None:
+    """The `_free_rows` walk over all factors but the last: None if moduli outlast
+    them (no last factor can free the action), else each pivot (x, y, h) with h != 1."""
+    moduli, pending = {0}, []
+    for i, (a, b, k, l) in enumerate(rows):
+        if not (a or k) or not (b or l):
+            continue
+        later = rows[i + 1:]
+        carried = set()
+        for x, y in ((a, k),) if a == b and k == l else ((a, k), (b, l)):
+            g = math.gcd(x, y)
+            x, y = x // g, y // g
+            for c in moduli:
+                h = c
+                for u, s, v, t in later:
+                    h = math.gcd(h, (x * v - y * u) * (x * t - y * s))
+                    if h == 1:
+                        break
+                else:
+                    pending.append((x, y, h))
+                c = math.gcd(c, g)
+                if c != 1:
+                    carried.add(c)
+        if not carried:
+            return tuple(pending)
+        moduli = carried
+    return None
+
+
+def _free_last(state: tuple[tuple[int, int, int], ...] | None, row: Row) -> bool:
+    """Whether the `_free_prefix` state's rows, then row, are free: each h must fold to 1."""
+    if state is None:
+        return False
+    u, s, v, t = row
+    for x, y, h in state:
+        if math.gcd(h, (x * v - y * u) * (x * t - y * s)) != 1:
+            return False
+    return True
 
 
 def _free_rows(rows: Sequence[Row]) -> bool:
@@ -137,34 +187,11 @@ def _free_rows(rows: Sequence[Row]) -> bool:
     after the last factor are primes under which the whole selection is 0,
     which lies on every line, so a single factor is never free.
 
-    Every c divides the content g of a pair of the first pivot, so the set
-    stays small: O(N^2 |moduli|) gcds at worst, O(N) when the first pivot's
-    pairs are primitive.
+    Every c divides the content g of a pair of the first pivot, so the set stays small:
+    O(N^2 |moduli|) gcds at worst, O(N) when the first pivot's pairs are primitive.
+    `_free_prefix` walks all but the last factor; `_free_last` folds that one in.
     """
-    moduli = {0}
-    for i, (a, b, k, l) in enumerate(rows):
-        if not (a or k) or not (b or l):
-            continue
-        later = rows[i + 1:]
-        carried = set()
-        for x, y in ((a, k),) if a == b and k == l else ((a, k), (b, l)):
-            g = math.gcd(x, y)
-            x, y = x // g, y // g
-            for c in moduli:
-                h = c
-                for u, s, v, t in later:
-                    h = math.gcd(h, (x * v - y * u) * (x * t - y * s))
-                    if h == 1:
-                        break
-                else:
-                    return False  # h != 1: some p | h puts the selection on line(x, y)
-                c = math.gcd(c, g)
-                if c != 1:
-                    carried.add(c)
-        if not carried:
-            return True
-        moduli = carried
-    return False
+    return _free_last(_free_prefix(rows[:-1]), rows[-1])
 
 
 MASK_BOUND = 4  # the largest bound `_row_masks` tabulates: 177 bits, 6,561 rows
@@ -285,82 +312,92 @@ def _transform_rows(rows: Sequence[Row], m: int, n: int, r: int, s: int) -> tupl
     z^a w^k becomes x^{a'} y^{k'} where (a, k) = a'(m, n) + k'(r, s); the
     inverse of a determinant-1 matrix gives (a', k') = (a s - k r, -a n + k m).
     """
-    return tuple([(a * s - k * r, b * s - l * r, -a * n + k * m, -b * n + l * m)
-                  for a, b, k, l in rows])
+    out = []  # a loop: a comprehension costs a call, and most calls transform one row
+    for a, b, k, l in rows:
+        out.append((a * s - k * r, b * s - l * r, -a * n + k * m, -b * n + l * m))
+    return tuple(out)
 
 
 def _normalize_rows(rows: Sequence[Row], shared: dict | None = None
                     ) -> tuple[tuple[Row, ...], tuple[int, ...], Matrix2]:
-    """`normalize` on rows the caller knows to be effective and free: returns
+    """`normalize` on N >= 2 rows the caller knows to be effective and free: returns
     (normalized rows, permutation, reparametrization), postconditions checked.
-    shared, one dict for the tuples of one rows[:-1], keeps by slot 1's reduced
-    pair the reparametrization, rows[:-1] transformed and whether they pull back."""
-    perm = list(range(len(rows)))
-    for slot1, (a, b, _, _) in enumerate(rows):
-        if a * b:
-            break
-    else:
-        raise ClassificationViolation(
-            "no factor has a_i*b_i != 0; a free action always has one",
-            witness=rows, stage="normalization",
-        )
-    perm[0], perm[slot1] = slot1, 0
-    a1, _, k1, _ = rows[slot1]
-    d = math.gcd(a1, k1)
-    key = a1 // d, k1 // d
+    shared, one dict for the tuples of one rows[:-1], keeps `_head_state` by slot 1's
+    reduced pair, and under None slot 1's pair and state if slot 1 is in rows[:-1]."""
     shared = {} if shared is None else shared
-    if key not in shared:
-        (m, n), (r, s) = reparam = unimodular_complement(*key)
-        head = _transform_rows(rows[:-1], m, n, r, s)
-        shared[key] = reparam, head, _pulls_back(head, rows[:-1], m, n, r, s)
-    reparam, head, ok = shared[key]
+    block = shared.get(None)
+    if block is None:
+        for slot1, (a, b, _, _) in enumerate(rows):
+            if a * b:
+                break
+        else:
+            raise ClassificationViolation(
+                "no factor has a_i*b_i != 0; a free action always has one",
+                witness=rows, stage="normalization",
+            )
+        a1, _, k1, _ = rows[slot1]
+        d = math.gcd(a1, k1)
+        key = a1 // d, k1 // d
+        if key not in shared:
+            shared[key] = _head_state(rows, slot1, key)
+        block = a1, k1, d, shared[key]
+        if slot1 < len(rows) - 1:
+            shared[None] = block
+    a1, k1, d, (reparam, before, after, perm, ok, effective, free) = block
     (m, n), (r, s) = reparam
     last = _transform_rows(rows[-1:], m, n, r, s)
-    new_rows = list(head + last)
-    new_rows[0], new_rows[slot1] = new_rows[slot1], new_rows[0]
+    new_rows = before + last + after
     if new_rows[0][0] != d or new_rows[0][2] != 0:
         raise ClassificationViolation(
             f"reparametrization took the first pair ({a1}, {k1}) to "
             f"({new_rows[0][0]}, {new_rows[0][2]}), not ({d}, 0)",
             witness=rows, stage="normalization",
         )
-
-    for slot2 in range(1, len(new_rows)):
-        if new_rows[slot2][2] * new_rows[slot2][3]:
-            break
-    else:
+    if not new_rows[1][2] * new_rows[1][3]:
         raise ClassificationViolation(
             "no remaining factor has k_i*l_i != 0 after reparametrization; "
             "a free action always has one",
             witness=rows, stage="normalization",
         )
-    new_rows[1], new_rows[slot2] = new_rows[slot2], new_rows[1]
-    perm[1], perm[slot2] = perm[slot2], perm[1]
-    new_rows = tuple(new_rows)
 
-    # postconditions: orbits unchanged means effectiveness/freeness survive, and the
-    # relation pencil is carried by the substitution s -> M s; the input is
-    # effective and free, so a failure here falsifies the normalization itself
-    if not _effective_rows(new_rows) or not _free_rows(new_rows):
+    # postconditions: orbits unchanged means effectiveness/freeness survive, in any row
+    # order, and the relation pencil is carried by the substitution s -> M s; the input
+    # is effective and free, so a failure here falsifies the normalization itself
+    if not _effective_last(effective, last[0]) or not _free_last(free, last[0]):
         raise ClassificationViolation(
             "normalization destroyed effectiveness/freeness",
             witness=rows, stage="normalization",
         )
-    if not ok or not _pulls_back(last, rows[-1:], m, n, r, s):
+    if not ok or not _pulls_back(last[0], rows[-1], m, n, r, s):
         raise ClassificationViolation(
             "normalization broke the differential pencil",
             witness=rows, stage="normalization",
         )
-    return new_rows, tuple(perm), reparam
+    return new_rows, perm, reparam
 
 
-def _pulls_back(new_rows: Sequence[Row], sources: Sequence[Row], m, n, r, s) -> bool:
-    """Whether each new row's form, pulled back along the reparametrization, is its source's."""
-    for (a, b, k, l), (a0, b0, k0, l0) in zip(new_rows, sources):
-        old_form = a0 * b0, a0 * l0 + b0 * k0, k0 * l0
-        if pulled_back((a * b, a * l + b * k, k * l), m, n, r, s) != old_form:
-            return False
-    return True
+def _head_state(rows: Sequence[Row], slot1: int, key: tuple[int, int]) -> tuple:
+    """What rows[:-1] decide of normalizing rows with slot 1, whose reduced pair is key: the
+    reparametrization, rows[:-1] transformed, in normalized order and split where the last
+    row goes, the permutation, whether they pull back, and their prefix states."""
+    (m, n), (r, s) = reparam = unimodular_complement(*key)
+    head = _transform_rows(rows[:-1], m, n, r, s)
+    order, perm = [*head, None], list(range(len(rows)))  # None: the last row
+    order[0], order[slot1], perm[0], perm[slot1] = order[slot1], order[0], slot1, 0
+    for slot2 in range(1, len(rows)):  # the last row is slot 2 if no earlier row is
+        if order[slot2] is None or order[slot2][2] * order[slot2][3]:
+            break
+    order[1], order[slot2], perm[1], perm[slot2] = order[slot2], order[1], perm[slot2], perm[1]
+    place = order.index(None)
+    ok = all([_pulls_back(new, old, m, n, r, s) for new, old in zip(head, rows)])
+    return (reparam, tuple(order[:place]), tuple(order[place + 1:]), tuple(perm), ok,
+            _effective_prefix(head), _free_prefix(head))
+
+
+def _pulls_back(row: Row, source: Row, m, n, r, s) -> bool:
+    """Whether row's form, pulled back along the reparametrization, is its source's."""
+    (a, b, k, l), (p, q, u, v) = row, source
+    return pulled_back((a * b, a * l + b * k, k * l), m, n, r, s) == (p * q, p * v + q * u, u * v)
 
 
 def normalize(act: TorusActionS3) -> NormalizedActionS3:

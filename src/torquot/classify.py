@@ -11,7 +11,7 @@ run on every call and must agree:
 * the proof path: factor normalization, the sign invariant epsilon of the
   reduced weight data, and the explicit change-of-basis rewrites (every
   intermediate identity is re-checked on the instance).  The odometer hands the
-  tuples of a block one dict for the work their first N-1 rows have in common.
+  tuples of a block one dict, where each folds its last row into what the rest decide.
 
 Any state these methods cannot reach for a genuinely free action raises
 ``ClassificationViolation`` -- the harness treats that as "theorem

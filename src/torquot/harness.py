@@ -8,10 +8,10 @@ going, because a nonempty witness list is exactly the "theorem falsified"
 signal the harness exists to detect.  Up to MASK_BOUND the filter is the
 AND of each tuple's row masks (`actions._row_masks`; 0 iff effective and
 free), over a drawn chunk a factor's slice at a time and over the odometer a
-block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of
-the N-1 leading rows' masks and share the block's pencil and one dict for the
-proof path's common work.  A random grid above it walks each tuple.  A chunk's
-tally is one flat dict of counts (_TALLY); the report nests the kinds.
+block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of the
+N-1 leading rows' masks and share the block's pencil and a dict where the proof path
+keeps what those rows decide, so each tuple folds in its last row.  A random grid
+above it walks each tuple.  A chunk's tally is a flat dict (_TALLY); the report nests kinds.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks (whole blocks for an exhaustive grid), per-chunk tallies are merged by
@@ -49,6 +49,7 @@ from .classify import (
     max_effective_rank,
 )
 from .errors import ClassificationViolation, PreconditionError
+from .exact import int_tuple
 
 PRNG_NAME = "mt19937"  # random.Random; seeded with the 64-bit campaign seed
 DRAW_CHUNK = 1 << 16  # most tuples in a drawn chunk, which its parent and worker hold whole
@@ -70,6 +71,8 @@ class GridSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        int_tuple((v for v in (self.n_factors, self.coefficient_bound, self.count, self.seed)
+                   if v is not None), "grid size, count and seed")
         if self.n_factors < 2:
             raise PreconditionError("grid needs n_factors >= 2")
         if not 1 <= self.coefficient_bound <= 2 ** 31 - 1:

@@ -15,6 +15,15 @@ T1_ROWS = ((1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 0, 2))
 HOPF_ROWS = ((1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0))
 CP2_ROWS = ((1, 0, 0, 1), (1, 1, 1, -1), (0, 0, 0, 0))
 
+# N=3, B=1 odometer blocks, by prefix: slots 1 and 2 in the prefix; slot 2 on
+# the last row (epsilon -1 and +1 among the tuples); slot 1 on the last row
+# (l1 = 0 and epsilon -1 among the tuples)
+FAULT_BLOCKS = (
+    ((1, 1, 1, 0), (0, 0, 1, 1)),
+    ((-1, -1, -1, 1), (-1, -1, -1, 1)),
+    ((1, 0, 0, 1), (0, 1, 1, 0)),
+)
+
 
 @pytest.fixture
 def t1_action():

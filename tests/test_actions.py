@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import torquot.actions as actions
 from torquot import (
@@ -24,6 +24,7 @@ from torquot.actions import _normalize_rows, parse_action, parse_circle_action
 from torquot.quadforms import pulled_back
 
 from conftest import (
+    FAULT_BLOCKS,
     T1_ROWS,
     format_action,
     format_circle_action,
@@ -144,6 +145,75 @@ def test_free_agrees_with_lattice_oracle():
         assert got == oracle_is_free(rows), rows
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _whole_tuple_free(rows) -> bool:
+    # the freeness walk over the whole tuple in one pass, each pivot's h taken
+    # over every later factor at once: `_free_rows` before it was split into a
+    # prefix state and a last-row step
+    moduli = {0}
+    for i, (a, b, k, l) in enumerate(rows):
+        if not (a or k) or not (b or l):
+            continue
+        carried = set()
+        for x, y in ((a, k),) if a == b and k == l else ((a, k), (b, l)):
+            g = math.gcd(x, y)
+            x, y = x // g, y // g
+            for c in moduli:
+                h = c
+                for u, s, v, t in rows[i + 1:]:
+                    h = math.gcd(h, (x * v - y * u) * (x * t - y * s))
+                if h != 1:
+                    return False
+                if math.gcd(c, g) != 1:
+                    carried.add(math.gcd(c, g))
+        if not carried:
+            return True
+        moduli = carried
+    return False
+
+
+def _folds_match(prefix, last) -> bool:
+    # each fold, prefix state then last row, against the whole-tuple test;
+    # returns the freeness verdict
+    rows = prefix + (last,)
+    free = _whole_tuple_free(rows)
+    assert actions._free_last(actions._free_prefix(prefix), last) == free, rows
+    assert actions._free_rows(rows) == free, rows
+    effective = math.gcd(*(v for a, b, _, _ in rows for v in (a, b))) == 1 == math.gcd(
+        *(v for _, _, k, l in rows for v in (k, l)))
+    assert actions._effective_last(actions._effective_prefix(prefix), last) == effective, rows
+    assert actions._effective_rows(rows) == effective, rows
+    return free
+
+
+def test_folds_equal_the_whole_tuple_test_on_grids():
+    values = list(product(range(-1, 2), repeat=4))
+    # every N = 2, B = 1 tuple, then the last rows of each N = 3 fault block
+    verdicts = {_folds_match((head,), last) for head in values for last in values}
+    assert verdicts == {True, False}
+    verdicts = {_folds_match(prefix, last) for prefix in FAULT_BLOCKS for last in values}
+    assert verdicts == {True, False}
+
+
+_ENTRY = st.one_of(st.integers(-30, 30), st.sampled_from((0, 2, -2, 6, -6, 12, 30, -30)))
+_ROW = st.one_of(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    st.tuples(_ENTRY, _ENTRY).map(lambda p: (p[0], p[0], p[1], p[1])),  # (a, k) = (b, l)
+    st.tuples(_ENTRY, _ENTRY).map(lambda p: (p[0], 0, p[1], 0)),  # a zero pair
+    st.tuples(_ENTRY, _ENTRY).map(lambda p: (0, p[0], 0, p[1])),
+)
+
+
+@example(((1, 1, 0, 0),), (0, 0, 1, 1))
+@example(((2, 2, 0, 0),), (0, 0, 2, 2))
+@example((), (1, 0, 0, 1))
+@given(st.lists(_ROW, max_size=5).map(tuple), _ROW)
+@settings(max_examples=500, deadline=None)
+def test_folds_equal_the_whole_tuple_test(prefix, last):
+    # prefixes of 0 to 5 rows, so N = 1..6, with entries up to 30 that share
+    # factors, zero pairs and rows whose two pairs coincide
+    _folds_match(prefix, last)
 
 
 @given(st.data())

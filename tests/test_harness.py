@@ -29,7 +29,7 @@ from torquot.harness import (
     run_t2_campaign,
 )
 
-from conftest import format_action
+from conftest import FAULT_BLOCKS, format_action
 
 
 def test_grid_spec_validation():
@@ -60,6 +60,22 @@ def test_grid_spec_validation():
     assert run_t2_campaign(widest).totals["tested"] == 5
     assert GridSpec(2, 1).tuple_count == 3 ** 8
     assert GridSpec(3, 2).tuple_count == 5 ** 12
+
+
+@pytest.mark.parametrize("fields", [
+    (3, 1.5),
+    (3, True),
+    (3.0, 1),
+    (3, 1, "random", 10, 1.5),
+    (3, 1, "random", 10.0, 1),
+    (3, 1, "random", True, 1),
+    (3, 1, "random", 10, False),
+])
+def test_grid_spec_refuses_non_int_fields(fields):
+    # a float bound would die later with a TypeError, a bool would be echoed
+    # as true, and a float seed is not the explicit 64-bit seed
+    with pytest.raises(PreconditionError, match="expected integer"):
+        GridSpec(*fields)
 
 
 def test_exhaustive_small_grid_counts():
@@ -604,11 +620,11 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_campaign_filters_each_action_once(monkeypatch):
-    # the scanner's filter is the only precondition test; the one call per
-    # rank-2 action seen here is normalization's postcondition, and a rank-3
-    # action never reaches normalization
-    free_calls = _count_calls(monkeypatch, actions, "_free_rows")
-    effective_calls = _count_calls(monkeypatch, actions, "_effective_rows")
+    # the scanner's filter is the only precondition test; the one last-row step
+    # per rank-2 action seen here is normalization's postcondition, folded into
+    # its block's prefix state, and a rank-3 action never reaches normalization
+    free_calls = _count_calls(monkeypatch, actions, "_free_last")
+    effective_calls = _count_calls(monkeypatch, actions, "_effective_last")
     for grid in (GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)):
         free_calls.clear()
         effective_calls.clear()
@@ -749,16 +765,19 @@ def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     assert record["witness"] == [list(r) for r in FAULT_ROWS]
 
 
-# N=3, B=1 odometer blocks, by prefix: slots 1 and 2 in the prefix; slot 2 on
-# the last row (epsilon -1 and +1 among the tuples); slot 1 on the last row
-# (l1 = 0 and epsilon -1 among the tuples)
-FAULT_BLOCKS = (
-    ((1, 1, 1, 0), (0, 0, 1, 1)),
-    ((-1, -1, -1, 1), (-1, -1, -1, 1)),
-    ((1, 0, 0, 1), (0, 1, 1, 0)),
-)
+_epsilon = classify._epsilon
+
+
+def _shift_factors_after_slot_2(rows, bh, lh):
+    # epsilon read with b + 1 at every factor after slot 2, which moves only their
+    # sides x_j: in the second fault block factor 3 is a prefix row (slot 2 is the
+    # last row), in the third a prefix row too, in the first the last row
+    return _epsilon(rows[:2] + tuple((a, b + 1, k, l) for a, b, k, l in rows[2:]), bh, lh)
+
+
 BLOCK_FAULTS = {name: entry[:3] for name, entry in FAULTS.items()}
 BLOCK_FAULTS["unimodular complement"] = (exact, "pow", lambda *args: math.nan)
+BLOCK_FAULTS["epsilon side after slot 2"] = (classify, "_epsilon", _shift_factors_after_slot_2)
 
 
 @pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
@@ -833,7 +852,8 @@ def test_every_violation_names_its_stage():
 # the campaign path: a tuple here passed the campaign's filter, so a failed
 # check is a certified-impossible state, recorded as a witness
 CAMPAIGN_PATH = {
-    "actions.py": ("_normalize_rows", "_pulls_back"),
+    "actions.py": ("_normalize_rows", "_head_state", "_pulls_back", "_effective_prefix",
+                   "_effective_last", "_free_prefix", "_free_last"),
     "classify.py": ("_classify_free_rows", "_proof_path_kind", "_epsilon"),
 }
 
