@@ -5,7 +5,8 @@ A model here is a free algebra on finitely many generators of degree >= 2
 with a degree +1 derivation d with d.d = 0.  Cohomology is computed degree
 by degree from exact ranks of the differential on the monomial basis; this
 is the ground-truth oracle that the classification code is checked against,
-so it deliberately knows nothing about torus actions.
+so ``FreeCDGA`` knows nothing about torus actions (only the ellipticity
+constraints of homotopy profiles below take a torus rank).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, PreconditionError
-from .exact import parse_rational, rank_int_rows
+from .exact import parse_rational, rank_int_rows, rational
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _EXPONENT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits: int() also takes "٢", "+2", "1_0"
@@ -73,7 +74,7 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = Fraction(rational(coeff, "coefficient"))
                 if c:
                     clean[mono] = c
         self.terms = clean
@@ -84,7 +85,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff=1) -> "Polynomial":
-        return cls({mono: Fraction(coeff)})
+        return cls({mono: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

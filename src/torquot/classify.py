@@ -42,7 +42,7 @@ from .actions import (
 )
 from .cdga import FreeCDGA, Generator, HomotopyProfile, Monomial, Polynomial, check_elliptic_constraints
 from .errors import ClassificationViolation, FreenessViolation, PreconditionError
-from .exact import det2, is_rational_square
+from .exact import det2, is_rational_square, rational
 from .quadforms import BinaryQuadraticForm, Form
 
 S2XS2_PRODUCT = "S2xS2_PRODUCT"
@@ -128,8 +128,6 @@ def profile_to_models(p: HomotopyProfile) -> list[SphereFactorization]:
         if j == 2:
             continue
         if j % 2 == 0:
-            if j < 4:
-                return []
             dims.extend([j] * v)
         else:
             companions = p.dim((j + 1) // 2) if (j % 4 == 3 and j >= 7) else 0
@@ -142,27 +140,24 @@ def profile_to_models(p: HomotopyProfile) -> list[SphereFactorization]:
     return [SphereFactorization(tuple(dims), circle_rank)]
 
 
-def _odd_partitions(total: int, max_part: int):
-    """Multiplicity maps {odd degree >= 3: count} summing to total."""
-    if max_part % 2 == 0:
-        max_part -= 1
+def _partitions(total: int, smallest: int):
+    """Every {degree: count > 0} over the degrees >= smallest of smallest's parity
+    whose degree * count sum to total, in ascending order of their (degree, count)
+    items: the profiles built from them then come in long sorted runs."""
 
-    def rec(remaining: int, largest: int):
+    def rec(remaining: int, part: int):
         if remaining == 0:
             yield {}
             return
-        part = min(largest, remaining)
-        if part % 2 == 0:
-            part -= 1
-        while part >= 3:
-            for count in range(remaining // part, 0, -1):
-                for rest in rec(remaining - count * part, part - 2):
-                    out = dict(rest)
-                    out[part] = count
+        while part <= remaining:
+            for count in range(1, remaining // part + 1):
+                for rest in rec(remaining - count * part, part + 2):
+                    out = {part: count}
+                    out.update(rest)
                     yield out
-            part -= 2
+            part += 2
 
-    yield from rec(total, max_part)
+    yield from rec(total, smallest)
 
 
 def enumerate_profiles(n: int, k: int, mode: str) -> list[HomotopyProfile]:
@@ -178,11 +173,11 @@ def enumerate_profiles(n: int, k: int, mode: str) -> list[HomotopyProfile]:
     * n - k' >= 2*(d_2 + k') + sum_{j>=2} 2j*d_{2j}   (the shifted even bound
       for the homotopy quotient, whose d_2 grows by k').
 
-    The search is exhaustive: even degrees are bounded by the shifted even
-    bound, and the dimension identity pins the total odd weight, which
-    bounds every odd degree.  In effective_max mode, only profiles
-    realizable by a sphere/circle factorization are kept, and k must be the
-    maximal rank floor(2n/3).
+    The search is exhaustive: one partition generator splits each even load
+    sum 2j*d_2j <= n - 3k' (the shifted even bound) into even degrees, then the
+    odd weight the dimension identity pins into odd degrees >= 3.  In
+    effective_max mode, only profiles realizable by a sphere/circle
+    factorization are kept, and k must be the maximal rank floor(2n/3).
     """
     if n < 3 or k < 1:
         raise PreconditionError("need n >= 3 and k >= 1")
@@ -202,36 +197,19 @@ def enumerate_profiles(n: int, k: int, mode: str) -> list[HomotopyProfile]:
     if bound < 0:
         return []
 
-    even_degrees = list(range(2, n + 1, 2))
-
-    def even_assignments(idx: int, budget: int):
-        if idx == len(even_degrees):
-            yield {}
-            return
-        j = even_degrees[idx]
-        # each unit of even degree j costs j against the shifted bound
-        for v in range(budget // j + 1):
-            for rest in even_assignments(idx + 1, budget - v * j):
-                if v:
-                    out = {j: v}
-                    out.update(rest)
-                    yield out
-                else:
-                    yield rest
-
     profiles = []
-    for evens in even_assignments(0, bound):
-        odd_target = n + sum((j - 1) * v for j, v in evens.items())
-        even_count = sum(evens.values())
-        for odds in _odd_partitions(odd_target, odd_target):
-            if sum(odds.values()) - even_count < k_eff:
-                continue
-            d = dict(evens)
-            d.update(odds)
-            profile = HomotopyProfile.from_dict(n, d)
-            if mode == "effective_max" and not profile_to_models(profile):
-                continue
-            profiles.append(profile)
+    for load in range(0, bound + 1, 2):
+        for evens in _partitions(load, 2):
+            even_count = sum(evens.values())
+            for odds in _partitions(n + load - even_count, 3):
+                if sum(odds.values()) - even_count < k_eff:
+                    continue
+                d = dict(evens)
+                d.update(odds)
+                profile = HomotopyProfile.from_dict(n, d)
+                if mode == "effective_max" and not profile_to_models(profile):
+                    continue
+                profiles.append(profile)
     profiles.sort(key=lambda p: p.d)
     return profiles
 
@@ -275,8 +253,7 @@ def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
     Distinct square classes of alpha give non-isomorphic models with
     identical Betti numbers, so alpha is required to be nonzero.
     """
-    alpha = Fraction(alpha)
-    if alpha == 0:
+    if rational(alpha, "alpha") == 0:
         raise PreconditionError("alpha must be nonzero")
     if m < 0:
         raise PreconditionError("m must be >= 0")
@@ -285,10 +262,9 @@ def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
 
 def square_class_isomorphic(alpha, beta) -> bool:
     """True iff beta = c^2 * alpha for some rational c (both nonzero)."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha == 0 or beta == 0:
+    if rational(alpha, "alpha") == 0 or rational(beta, "beta") == 0:
         raise PreconditionError("square classes are defined for nonzero rationals")
-    return is_rational_square(beta / alpha)
+    return is_rational_square(Fraction(beta, alpha))
 
 
 # -- the rank-2 substitution lemma ------------------------------------------------

@@ -30,6 +30,13 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
     return out
 
 
+def rational(value, what: str):
+    """value itself when it is an int or a Fraction; a bool, float, Decimal or str is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise PreconditionError(f"{what}: expected an int or a Fraction, got {value!r}")
+    return value
+
+
 def parse_rational(text: str, where: str) -> Fraction:
     """The rational written num or num/den.  Decimals and exponents are refused:
     an exponent lets a few characters ask for an unbounded power of ten."""
@@ -114,12 +121,11 @@ def is_perfect_square(n: int) -> bool:
 
 
 def is_rational_square(q) -> bool:
-    """True iff q = c^2 for some rational c (0 counts).
+    """True iff the int or Fraction q is c^2 for some rational c (0 counts).
 
     A reduced fraction is a rational square exactly when numerator and
     denominator are both perfect squares; an int is its own numerator.
     """
-    if isinstance(q, int):
+    if isinstance(rational(q, "square test"), int):
         return is_perfect_square(q)
-    q = Fraction(q)
     return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)

@@ -288,6 +288,16 @@ def test_circle_weight_count_validation():
         CircleActionSpheres(((3, (1, 1, 1)),))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TorusActionS3(()), "at least one sphere factor"),
+    (lambda: TorusActionS3(((1, 1, 0),)), "quadruple"),
+    (lambda: CircleActionSpheres(()), "at least one sphere factor"),
+], ids=["no rows", "row of three", "no sphere factors"])
+def test_action_refusals(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("entry", [1.5, 1.9, 2.0, True, Fraction(1, 2), Fraction(2), "1"])
 def test_actions_reject_non_integer_entries(entry):
     # a non-integer weight is refused, never truncated: (1.5, 1, 0, 0) must

@@ -172,6 +172,24 @@ def test_degree_and_minimality_enforced():
     FreeCDGA(gens4, {2: linear}, kind="relative")  # allowed when relative
 
 
+_U, _X, _Y = Generator("u", 2), Generator("x", 3), Generator("y", 7)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FreeCDGA([_U, Generator("u", 3)]), PreconditionError, "duplicate generator names"),
+    (lambda: FreeCDGA([_U, _X], {1: Polynomial({Monomial(((2, 2),)): 1})}),
+     PreconditionError, "unknown generator"),
+    # d(y) = u*x^2 has the right degree 8, but x is odd
+    (lambda: FreeCDGA([_U, _X, _Y], {2: Polynomial({Monomial(((0, 1), (1, 2))): 1})}),
+     PreconditionError, "odd generator raised"),
+    (lambda: parse_polynomial("u^2", {"u": 0}), InputFormatError, "is not '<coeff> <monomial>'"),
+], ids=["duplicate names", "unknown generator index", "odd generator squared",
+        "term without coefficient"])
+def test_cdga_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_generator_degree_validation():
     with pytest.raises(PreconditionError):
         Generator("t", 1)

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -129,6 +131,50 @@ def test_profiles_satisfy_elliptic_constraints():
             assert check_elliptic_constraints(p, k_eff).all_ok, (n, k, mode, p)
 
 
+def _profiles_by_brute_force(n):
+    """Every profile of formal dimension n meeting the first two constraints of
+    enumerate_profiles, as (profile, odd count - even count, shifted even load).
+
+    The even load sum 2j*d_2j is at most n, so even degrees are at most n and
+    there are at most n // 2 of them; the odd weight is then at most 2n, so odd
+    degrees are at most 2n and there are at most 2n // 3 of them.  The odd
+    multisets are looked up by the weight the dimension identity asks for.
+    """
+    evens, odds = range(2, n + 1, 2), range(3, 2 * n + 1, 2)
+    odd_by_weight = collections.defaultdict(list)
+    for size in range(2 * n // 3 + 1):
+        for combo in itertools.combinations_with_replacement(odds, size):
+            odd_by_weight[sum(combo)].append(combo)
+    out = []
+    for size in range(n // 2 + 1):
+        for even_combo in itertools.combinations_with_replacement(evens, size):
+            if sum(even_combo) > n:
+                continue
+            for odd_combo in odd_by_weight[n + sum(j - 1 for j in even_combo)]:
+                d = collections.Counter(even_combo + odd_combo)
+                shifted = 2 * d[2] + sum(j * v for j, v in d.items() if j % 2 == 0 and j >= 4)
+                out.append((HomotopyProfile.from_dict(n, d), len(odd_combo) - size, shifted))
+    return out
+
+
+def test_profile_search_is_complete():
+    # the search finds every profile an independent brute force over degree
+    # multisets admits, for every rank and both modes
+    for n in range(3, 13):
+        candidates = _profiles_by_brute_force(n)
+        cases = [(k, "almost_free", k) for k in range(1, n)]
+        k_max = max_effective_rank(n)
+        cases.append((k_max, "effective_max", 2 * k_max - n))
+        for k, mode, k_eff in cases:
+            expected = {
+                p for p, minus_chi, shifted in candidates
+                if k_eff <= minus_chi and n - k_eff >= 2 * k_eff + shifted
+                and (mode == "almost_free" or profile_to_models(p))
+            }
+            got = enumerate_profiles(n, k, mode)
+            assert len(set(got)) == len(got) and set(got) == expected, (n, k, mode)
+
+
 # -- profile factorization ---------------------------------------------------------------
 
 
@@ -194,10 +240,25 @@ def test_classify_connected_sum(cp2_action):
 def test_classify_preconditions():
     with pytest.raises(PreconditionError):
         classify_t2_quotient(TorusActionS3(((1, 0, 0, 1),)))
-    with pytest.raises(PreconditionError):  # not free
-        classify_t2_quotient(TorusActionS3(((1, 1, 0, 0), (1, 1, 0, 0))))
+    # effective, but the selection (1, 0), (0, 2) spans only an index-2 lattice
+    with pytest.raises(PreconditionError, match="not free"):
+        classify_t2_quotient(TorusActionS3(((1, 2, 0, 0), (0, 0, 2, 1))))
     with pytest.raises(PreconditionError):  # not effective
         classify_t2_quotient(TorusActionS3(((2, 2, 0, 0), (0, 0, 1, 1))))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SphereFactorization((1, 3), 0), "sphere dimensions must be >= 2"),
+    (lambda: SphereFactorization((3,), 4), "invalid circle rank"),
+    (lambda: canonical_quotient_model("S4_PRODUCT", 3), "unknown quotient kind"),
+    (lambda: max_effective_rank(0), "dimension must be >= 1"),
+    (lambda: max_almost_free_rank(0), "dimension must be >= 1"),
+    (lambda: slice_invariants(2), "dimension must be >= 3"),
+], ids=["sphere below S^2", "circle rank above dimension", "unknown kind",
+        "effective rank at n = 0", "almost-free rank at n = 0", "slice at n = 2"])
+def test_classify_refusals(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
 
 
 def test_classify_n2_works():

@@ -1,16 +1,22 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from torquot import (
+    BinaryQuadraticForm,
+    Polynomial,
     PreconditionError,
+    build_d_alpha_model,
     det2,
     is_rational_square,
+    square_class_isomorphic,
     unimodular_complement,
 )
+from torquot.cdga import UNIT
 from torquot.exact import rank_int_rows
 
 
@@ -175,6 +181,36 @@ def test_is_rational_square_examples():
     assert not is_rational_square(-4)
     assert is_rational_square(Fraction(49, 16))
     assert not is_rational_square(Fraction(-1, 4))
+
+
+RATIONAL_TAKERS = {
+    "is_rational_square": lambda q: is_rational_square(q),
+    "square_class_isomorphic alpha": lambda q: square_class_isomorphic(q, 4),
+    "square_class_isomorphic beta": lambda q: square_class_isomorphic(4, q),
+    "build_d_alpha_model": lambda q: build_d_alpha_model(q, 0),
+    "Polynomial": lambda q: Polynomial({UNIT: q}),
+}
+
+
+@pytest.mark.parametrize("value", [0.01, 0.1, 2.0, True, False, Decimal("0.5"), "1/2"])
+@pytest.mark.parametrize("taker", sorted(RATIONAL_TAKERS))
+def test_rationals_are_ints_or_fractions(taker, value):
+    # a float stands for its binary value, not the decimal it prints: 0.1 is
+    # 3602879701896397/2^55, so 0.9/0.1 would not be the square 9
+    with pytest.raises(PreconditionError, match="expected an int or a Fraction"):
+        RATIONAL_TAKERS[taker](value)
+
+
+def test_rationals_written_as_fractions_keep_their_value():
+    assert square_class_isomorphic(Fraction(1, 10), Fraction(9, 10))
+    assert is_rational_square(Fraction(1, 100))
+    model = build_d_alpha_model(Fraction(1, 10), 0)
+    assert Fraction(1, 10) in model._diff[3].terms.values()
+
+
+@pytest.mark.parametrize("form", [(1, 2, 1), (0, 0, 0)])  # (s1 + s2)^2 and zero
+def test_forms_of_discriminant_zero_are_degenerate(form):
+    assert BinaryQuadraticForm(*form).isotropy() == "degenerate"
 
 
 @given(

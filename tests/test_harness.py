@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -510,6 +511,38 @@ def test_profile_campaign_clean():
     assert report.violation_witnesses == []
 
 
+def test_profile_mismatch_is_a_witness(monkeypatch, capsys):
+    # an enumerator that loses a row of the maximal-rank table is a witness, and exit 2
+    enumerate_profiles = harness.enumerate_profiles
+
+    def losing_a_row(n, k, mode):
+        got = enumerate_profiles(n, k, mode)
+        return got[1:] if (n, mode) == (10, "effective_max") else got
+
+    monkeypatch.setattr(harness, "enumerate_profiles", losing_a_row)
+    report = run_profile_campaign(12)
+    assert report.totals["violations"] == 1
+    [witness] = report.violation_witnesses
+    assert witness["rows"] == [10, "effective_max"]
+    assert witness["error"] == "profile mismatch"
+    assert witness["expected"] == [dict(p.d) for p in expected_effective_max_profiles(10)]
+    assert witness["got"] == [dict(p.d) for p in losing_a_row(10, 6, "effective_max")]
+    assert len(witness["got"]) == len(witness["expected"]) - 1
+
+    assert cli_main(["verify-profiles", "--n-max", "12"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert [w["rows"] for w in record["violation_witnesses"]] == [[10, "effective_max"]]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GridSpec(2, 1, mode="orbits"), "unknown sample mode"),
+    (lambda: run_profile_campaign(2), "n_max must be >= 3"),
+], ids=["unknown grid mode", "profiles below n = 3"])
+def test_harness_refusals(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
+
+
 def test_expected_table_truncation():
     # s = 2: only three of the five rows survive the nonnegativity cut
     rows4 = {tuple(sorted(p.d)) for p in expected_effective_max_profiles(4)}
@@ -646,6 +679,7 @@ FAULT_ROWS = ((1, 1, 1, 0), (0, 0, 1, 1))  # free, rank 2, k1 != 0 before normal
 _transform_rows = actions._transform_rows
 _pulled_back = actions.pulled_back
 _square_of_linear = classify._square_of_linear
+_epsilon = classify._epsilon
 
 
 def _shift_first_pair(rows, m, n, r, s):
@@ -730,6 +764,13 @@ FAULTS = {  # module, name, fake, message, stage
     "epsilon sign": (  # every determinant product comes out 0
         classify, "det2", lambda a, b, c, d: 0, "is not a sign", "epsilon"
     ),
+    "proof path disagreement": (  # the flipped sign names the other kind
+        classify,
+        "_epsilon",
+        lambda rows, bh, lh: -_epsilon(rows, bh, lh),
+        "proof path says",
+        "proof_path",
+    ),
 }
 
 
@@ -763,9 +804,6 @@ def test_proof_path_faults_are_violations(fault, monkeypatch, tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert message in record["violations"][0]
     assert record["witness"] == [list(r) for r in FAULT_ROWS]
-
-
-_epsilon = classify._epsilon
 
 
 def _shift_factors_after_slot_2(rows, bh, lh):
@@ -902,6 +940,26 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert offenders == []
+
+
+def test_every_perfbench_span_target_resolves():
+    # the benchmark wraps these names and reports a vanished one only as missing,
+    # so deleting one here must fail the package's own tests
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "spans.py").read_text())
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    missing = []
+    for module, attr in targets:
+        holder = importlib.import_module(f"torquot.{module}")
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if holder is None:
+            missing.append(f"{module}.{attr}")
+    assert targets and missing == []
 
 
 def test_import_does_not_load_multiprocessing():
