@@ -19,12 +19,10 @@ from .cdga import (
     Polynomial,
     check_elliptic_constraints,
     chi_pi,
-    poincare_polynomial_spheres,
 )
 from .classify import (
     ClassificationResult,
     SphereFactorization,
-    build_d_alpha_model,
     canonical_quotient_model,
     classify_s1_quotient,
     classify_t2_quotient,

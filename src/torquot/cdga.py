@@ -17,10 +17,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, PreconditionError
-from .exact import parse_rational, rank_int_rows, rational
+from .exact import int_tuple, parse_rational, rank_int_rows, rational
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _EXPONENT_RE = re.compile(r"[0-9]+\Z")  # ASCII digits: int() also takes "٢", "+2", "1_0"
@@ -34,7 +35,7 @@ class Generator:
     def __post_init__(self):
         if not _NAME_RE.match(self.name):
             raise PreconditionError(f"bad generator name {self.name!r}")
-        if self.degree < 2:
+        if int_tuple((self.degree,), "generator degree")[0] < 2:
             raise PreconditionError(
                 f"generator {self.name} has degree {self.degree}; "
                 "models in scope are simply connected (degree >= 2)"
@@ -105,9 +106,6 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def homogeneous_degree(self, generators: Sequence[Generator]) -> int | None:
         """Common degree of all terms, or None (zero polynomial has no degree)."""
         degs = {m.degree(generators) for m in self.terms}
@@ -164,6 +162,7 @@ class HomotopyProfile:
     d: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        int_tuple((self.n, *chain.from_iterable(self.d)), "profile dimension, degrees and counts")
         pairs = tuple(sorted((j, v) for j, v in self.d if v))
         for j, v in pairs:
             if j < 2 or v < 0:
@@ -222,19 +221,6 @@ def check_elliptic_constraints(p: HomotopyProfile, k: int) -> EllipticReport:
         rank_ok=rank_slack >= 0,
         rank_slack=rank_slack,
     )
-
-
-def poincare_polynomial_spheres(dims: Iterable[int]) -> list[int]:
-    """Coefficients of prod_i (1 + t^{n_i}) for a product of spheres."""
-    coeffs = [1]
-    for n in dims:
-        if n < 2:
-            raise PreconditionError(f"sphere dimension {n} < 2")
-        out = coeffs + [0] * n
-        for i, c in enumerate(coeffs):
-            out[i + n] += c
-        coeffs = out
-    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -351,9 +337,6 @@ class FreeCDGA:
             and self.kind == other.kind
         )
 
-    def __hash__(self):
-        return hash(tuple(g.degree for g in self.generators))
-
     # -- algebra operations ----------------------------------------------------
 
     def multiply(self, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -419,7 +402,7 @@ class FreeCDGA:
         times L, the lcm of every image coefficient's denominator.  d_q is
         linear in the images, so that scales each d_q by L and no rank changes.
         """
-        if max_degree < 0:
+        if int_tuple((max_degree,), "max_degree")[0] < 0:
             raise PreconditionError("max_degree must be >= 0")
         scale = 1
         for img in self._diff:

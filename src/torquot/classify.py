@@ -9,9 +9,11 @@ run on every call and must agree:
   square class of the discriminant of the induced square map on the
   quotient line (basis independent, normative);
 * the proof path: factor normalization, the sign invariant epsilon of the
-  reduced weight data, and the explicit change-of-basis rewrites (every
-  intermediate identity is re-checked on the instance).  The odometer hands the
-  tuples of a block one dict, where each folds its last row into what the rest decide.
+  reduced weight data, and the explicit change-of-basis rewrites.  Each instance
+  re-checks normalization's postconditions and epsilon's identity at every factor.
+  The pencil is read off the normalized rows at l1 = 0, but taken to be (s1*s2,
+  s1^2 + s2^2) at epsilon = +1; lemma 6.4 rewrites each pencil once per dict, and
+  the odometer hands a block's tuples one dict, each folding in its last row.
 
 Any state these methods cannot reach for a genuinely free action raises
 ``ClassificationViolation`` -- the harness treats that as "theorem
@@ -42,7 +44,7 @@ from .actions import (
 )
 from .cdga import FreeCDGA, Generator, HomotopyProfile, Monomial, Polynomial, check_elliptic_constraints
 from .errors import ClassificationViolation, FreenessViolation, PreconditionError
-from .exact import det2, is_rational_square, rational
+from .exact import det2, int_tuple, is_rational_square, rational
 from .quadforms import BinaryQuadraticForm, Form
 
 S2XS2_PRODUCT = "S2xS2_PRODUCT"
@@ -60,7 +62,7 @@ S1_KINDS = (S2XS5_PRODUCT, CP2_PRODUCT)
 
 def max_effective_rank(n: int) -> int:
     """Largest torus rank acting effectively on a rationally elliptic n-manifold."""
-    if n < 1:
+    if int_tuple((n,), "dimension")[0] < 1:
         raise PreconditionError("dimension must be >= 1")
     return (2 * n) // 3
 
@@ -70,7 +72,7 @@ def max_almost_free_rank(n: int) -> tuple[int, bool]:
 
     Rank floor(n/3) almost-free actions exist exactly when n is not 1 mod 3.
     """
-    if n < 1:
+    if int_tuple((n,), "dimension")[0] < 1:
         raise PreconditionError("dimension must be >= 1")
     return n // 3, n % 3 != 1
 
@@ -82,7 +84,7 @@ def slice_invariants(n: int) -> tuple[int, int, int]:
     subtorus of rank 2k - n.  The identities k = 2s - a and n = 3s - a with
     a = 2n - 3k in {0, 1, 2} follow from k = floor(2n/3).
     """
-    if n < 3:
+    if int_tuple((n,), "dimension")[0] < 3:
         raise PreconditionError("dimension must be >= 3")
     k = max_effective_rank(n)
     return k, n - k, 2 * k - n
@@ -179,6 +181,7 @@ def enumerate_profiles(n: int, k: int, mode: str) -> list[HomotopyProfile]:
     effective_max mode, only profiles realizable by a sphere/circle
     factorization are kept, and k must be the maximal rank floor(2n/3).
     """
+    int_tuple((n, k), "dimension and rank")
     if n < 3 or k < 1:
         raise PreconditionError("need n >= 3 and k >= 1")
     if mode == "almost_free":
@@ -242,22 +245,9 @@ def canonical_quotient_model(kind: str, n_factors: int) -> FreeCDGA:
     if kind not in _CANONICAL_FORMS:
         raise PreconditionError(f"unknown quotient kind {kind!r}")
     base = _CANONICAL_FORMS[kind]
-    if n_factors < len(base):
+    if int_tuple((n_factors,), "factor count")[0] < len(base):
         raise PreconditionError(f"{kind} needs at least {len(base)} factors")
     return model_from_forms(base + ((0, 0, 0),) * (n_factors - len(base)))
-
-
-def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
-    """The dimension 3m+4 model with d(x1) = s1*s2, d(x2) = s1^2 + alpha*s2^2.
-
-    Distinct square classes of alpha give non-isomorphic models with
-    identical Betti numbers, so alpha is required to be nonzero.
-    """
-    if rational(alpha, "alpha") == 0:
-        raise PreconditionError("alpha must be nonzero")
-    if m < 0:
-        raise PreconditionError("m must be >= 0")
-    return model_from_forms(((0, 1, 0), (1, 0, alpha)) + ((0, 0, 0),) * m)
 
 
 def square_class_isomorphic(alpha, beta) -> bool:
@@ -591,6 +581,7 @@ def classify_s1_quotient(lambdas: Sequence[int], alpha: int) -> str:
     forces alpha != 0 (else the quotient would have infinite cohomological
     dimension, impossible for a free action) and yields the CP^2 type.
     """
+    int_tuple((*lambdas, alpha), "Euler data")
     if any(lambdas):
         return S2XS5_PRODUCT
     if alpha != 0:

@@ -24,8 +24,8 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]  # rows ((m, n), (r, s))
 def int_tuple(values, what: str) -> tuple[int, ...]:
     """values as a tuple of ints; a bool, float, Fraction or str is refused."""
     out = tuple(values)
-    for v in out:
-        if isinstance(v, bool) or not isinstance(v, int):
+    for v in out:  # type(v) is int settles most values: isinstance(v, bool) is the dear test
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             raise PreconditionError(f"{what}: expected integer, got {v!r}")
     return out
 

@@ -137,12 +137,6 @@ class CampaignReport:
             record["epsilon_checks"] = self.epsilon_checks
         return record
 
-    def comparable(self) -> dict:
-        """Everything except wall time; must be identical across worker counts."""
-        record = self.to_record()
-        record.pop("wall_time")
-        return record
-
 
 _TALLY = ("tested", "effective", "free", "violations", "epsilon_checked", *T2_KINDS)
 
@@ -282,7 +276,7 @@ def resolve_jobs(jobs: int | None) -> int:
     """Requested worker count, 1 by default, at most MAX_JOBS."""
     if jobs is None:
         jobs = 1
-    if not 1 <= jobs <= MAX_JOBS:
+    if not 1 <= int_tuple((jobs,), "jobs")[0] <= MAX_JOBS:
         raise PreconditionError(f"jobs must be in 1..{MAX_JOBS}")
     return jobs
 
@@ -390,7 +384,7 @@ def expected_effective_max_profiles(n: int) -> list[HomotopyProfile]:
 
 def run_profile_campaign(n_max: int) -> CampaignReport:
     """Compare enumerate_profiles with the closed-form answers for 3 <= n <= n_max."""
-    if n_max < 3:
+    if int_tuple((n_max,), "n_max")[0] < 3:
         raise PreconditionError("n_max must be >= 3")
     start = time.monotonic()
     checks = []

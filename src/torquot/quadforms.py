@@ -29,9 +29,6 @@ class BinaryQuadraticForm(NamedTuple):
     def discriminant(self):
         return self.B * self.B - 4 * self.A * self.C
 
-    def is_zero(self) -> bool:
-        return not any(self)
-
     def coefficients(self) -> tuple:
         return tuple(self)
 

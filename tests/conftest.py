@@ -2,11 +2,13 @@ import json
 import math
 import random
 from itertools import product
+from typing import Iterable
 
 import pytest
 
-from torquot import TorusActionS3
-from torquot.classify import _pencil
+from torquot import FreeCDGA, PreconditionError, TorusActionS3
+from torquot.classify import _pencil, model_from_forms
+from torquot.exact import rational
 from torquot.quadforms import BinaryQuadraticForm
 
 # the three reference actions used throughout: the unit-tangent-bundle
@@ -128,6 +130,39 @@ def reparametrized(act: TorusActionS3, m) -> TorusActionS3:
             )
         )
     return TorusActionS3(tuple(rows))
+
+
+def poincare_polynomial_spheres(dims: Iterable[int]) -> list[int]:
+    """Coefficients of prod_i (1 + t^{n_i}) for a product of spheres."""
+    coeffs = [1]
+    for n in dims:
+        if n < 2:
+            raise PreconditionError(f"sphere dimension {n} < 2")
+        out = coeffs + [0] * n
+        for i, c in enumerate(coeffs):
+            out[i + n] += c
+        coeffs = out
+    return coeffs
+
+
+def build_d_alpha_model(alpha, m: int) -> FreeCDGA:
+    """The dimension 3m+4 model with d(x1) = s1*s2, d(x2) = s1^2 + alpha*s2^2.
+
+    Distinct square classes of alpha give non-isomorphic models with
+    identical Betti numbers, so alpha is required to be nonzero.
+    """
+    if rational(alpha, "alpha") == 0:
+        raise PreconditionError("alpha must be nonzero")
+    if m < 0:
+        raise PreconditionError("m must be >= 0")
+    return model_from_forms(((0, 1, 0), (1, 0, alpha)) + ((0, 0, 0),) * m)
+
+
+def comparable(report) -> dict:
+    """A campaign report's record without its wall time: identical across worker counts."""
+    record = report.to_record()
+    record.pop("wall_time")
+    return record
 
 
 # -- writers for the input files the parsers read (round-trip tests) ------------------

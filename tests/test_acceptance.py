@@ -20,7 +20,6 @@ import pytest
 from torquot import (
     FreenessViolation,
     TorusActionS3,
-    build_d_alpha_model,
     classify_s1_quotient,
     classify_t2_quotient,
     enumerate_profiles,
@@ -37,7 +36,7 @@ from torquot.classify import canonical_quotient_model, quotient_model
 from torquot.cli import cli_main
 from torquot.harness import GridSpec, run_t2_campaign
 
-from conftest import quotient_square_form
+from conftest import build_d_alpha_model, comparable, quotient_square_form
 
 EXHAUSTIVE_GRID = GridSpec(3, 1)
 RANDOM_GRID = GridSpec(4, 3, mode="random", count=100_000, seed=42)
@@ -376,8 +375,8 @@ def test_criterion_9_worker_determinism(exhaustive_cli):
     # the CLI record is the jobs=1 report after a JSON round trip
     identical = (
         comparable1
-        == json.loads(json.dumps(report4.comparable()))
-        == json.loads(json.dumps(report8.comparable()))
+        == json.loads(json.dumps(comparable(report4)))
+        == json.loads(json.dumps(comparable(report8)))
     )
     detail = (
         f"reports identical for 1/4/8 workers; 4 workers {t4:.1f}s, "

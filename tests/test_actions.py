@@ -20,7 +20,13 @@ from torquot import (
     is_free_circle,
     normalize,
 )
-from torquot.actions import _normalize_rows, parse_action, parse_circle_action
+from torquot.actions import (
+    NormalizationWitness,
+    NormalizedActionS3,
+    _normalize_rows,
+    parse_action,
+    parse_circle_action,
+)
 from torquot.quadforms import pulled_back
 
 from conftest import (
@@ -292,7 +298,10 @@ def test_circle_weight_count_validation():
     (lambda: TorusActionS3(()), "at least one sphere factor"),
     (lambda: TorusActionS3(((1, 1, 0),)), "quadruple"),
     (lambda: CircleActionSpheres(()), "at least one sphere factor"),
-], ids=["no rows", "row of three", "no sphere factors"])
+    (lambda: NormalizedActionS3(TorusActionS3(((0, 1, 0, 1), (1, 1, 1, 1))),
+                                NormalizationWitness((0, 1), ((1, 0), (0, 1)))),
+     "do not satisfy the normalized form"),
+], ids=["no rows", "row of three", "no sphere factors", "a1 = 0 as normalized"])
 def test_action_refusals(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()

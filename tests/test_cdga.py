@@ -16,14 +16,21 @@ from torquot import (
     TorusActionS3,
     check_elliptic_constraints,
     chi_pi,
-    poincare_polynomial_spheres,
 )
 from torquot.cdga import parse_model, parse_polynomial
-from torquot.classify import build_d_alpha_model, canonical_quotient_model, quotient_model
+from torquot.classify import canonical_quotient_model, quotient_model
 from torquot.cli import cli_main
 from torquot.exact import rank_int_rows
 
-from conftest import CP2_ROWS, HOPF_ROWS, T1_ROWS, format_model, format_polynomial
+from conftest import (
+    CP2_ROWS,
+    HOPF_ROWS,
+    T1_ROWS,
+    build_d_alpha_model,
+    format_model,
+    format_polynomial,
+    poincare_polynomial_spheres,
+)
 from test_classify import _circle_quotient_model
 
 
@@ -65,6 +72,13 @@ def t1_model():
             4: Polynomial({u1u2: Fraction(1)}),
         },
     )
+
+
+def test_sum_drops_cancelled_terms():
+    u, x = Monomial(((0, 1),)), Monomial(((1, 1),))
+    p = Polynomial({u: 1, x: Fraction(1, 2)})
+    assert (p + Polynomial({u: -1})).terms == {x: Fraction(1, 2)}
+    assert (p + Polynomial({u: -1, x: Fraction(-1, 2)})).is_zero()
 
 
 # -- multiplication -----------------------------------------------------------
@@ -183,8 +197,16 @@ _U, _X, _Y = Generator("u", 2), Generator("x", 3), Generator("y", 7)
     (lambda: FreeCDGA([_U, _X, _Y], {2: Polynomial({Monomial(((0, 1), (1, 2))): 1})}),
      PreconditionError, "odd generator raised"),
     (lambda: parse_polynomial("u^2", {"u": 0}), InputFormatError, "is not '<coeff> <monomial>'"),
+    (lambda: Generator("x", 3.0), PreconditionError, "expected integer"),
+    (lambda: HomotopyProfile.from_dict(10, {3.0: 2}), PreconditionError, "expected integer"),
+    (lambda: HomotopyProfile.from_dict(10, {3: 2.5}), PreconditionError, "expected integer"),
+    (lambda: HomotopyProfile(10.5, ((3, 2),)), PreconditionError, "expected integer"),
+    (lambda: FreeCDGA([_U, _X]).betti_numbers(True), PreconditionError, "expected integer"),
+    (lambda: FreeCDGA([_U, _X]).betti_numbers(3.5), PreconditionError, "expected integer"),
 ], ids=["duplicate names", "unknown generator index", "odd generator squared",
-        "term without coefficient"])
+        "term without coefficient", "float degree", "float profile degree",
+        "float profile count", "float profile dimension", "bool max degree",
+        "float max degree"])
 def test_cdga_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -9,12 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from torquot import (
     BinaryQuadraticForm,
+    ClassificationResult,
     FreenessViolation,
     HomotopyProfile,
     PreconditionError,
     SphereFactorization,
     TorusActionS3,
-    build_d_alpha_model,
     classify_s1_quotient,
     classify_t2_quotient,
     enumerate_profiles,
@@ -44,7 +44,9 @@ from torquot.actions import _forms
 from torquot.exact import rank_int_rows, unimodular_complement
 
 from conftest import (
+    build_d_alpha_model,
     permuted,
+    poincare_polynomial_spheres,
     quotient_square_form,
     random_action,
     random_unimodular,
@@ -254,8 +256,27 @@ def test_classify_preconditions():
     (lambda: max_effective_rank(0), "dimension must be >= 1"),
     (lambda: max_almost_free_rank(0), "dimension must be >= 1"),
     (lambda: slice_invariants(2), "dimension must be >= 3"),
+    (lambda: epsilon_invariant(normalize(TorusActionS3(((1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 0, 1))))),
+     "only for rank-2 pencils"),
+    (lambda: ClassificationResult("S4_PRODUCT", 2, None, (), (1, 0, 0)), "unknown kind"),
+    (lambda: ClassificationResult(S2XS2_PRODUCT, 1, None, (), (1, 0, 0)), "is not 2 or 3"),
+    (lambda: ClassificationResult(T1_S2XS2_PRODUCT, 2, None, (), (1, 0, 0)), "exactly to rank 3"),
+    (lambda: ClassificationResult(T1_S2XS2_PRODUCT, 3, 1, (), (1, 0, 0)), "only accompanies rank-2"),
+    (lambda: max_effective_rank(10.5), "expected integer"),
+    (lambda: max_almost_free_rank(10.5), "expected integer"),
+    (lambda: slice_invariants(10.0), "expected integer"),
+    (lambda: classify_s1_quotient([0.0], 0.5), "expected integer"),
+    (lambda: classify_s1_quotient([1], 0.5), "expected integer"),
+    (lambda: enumerate_profiles(10, True, "almost_free"), "expected integer"),
+    (lambda: enumerate_profiles(10.0, 1, "almost_free"), "expected integer"),
+    (lambda: canonical_quotient_model(S2XS2_PRODUCT, 3.0), "expected integer"),
 ], ids=["sphere below S^2", "circle rank above dimension", "unknown kind",
-        "effective rank at n = 0", "almost-free rank at n = 0", "slice at n = 2"])
+        "effective rank at n = 0", "almost-free rank at n = 0", "slice at n = 2",
+        "epsilon at rank 3", "result of unknown kind", "result of rank 1",
+        "T1 result of rank 2", "epsilon with a rank-3 result", "effective rank of a float",
+        "almost-free rank of a float", "slice of a float", "float Euler coefficients",
+        "float alpha beside a nonzero lambda", "bool rank", "float dimension",
+        "float factor count"])
 def test_classify_refusals(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()
@@ -272,7 +293,7 @@ def test_classify_n2_works():
 
 def _reference_echelon(forms):
     """Reduced row echelon basis of the span of the forms, by Fraction Gauss-Jordan."""
-    rows = [[Fraction(c) for c in f.coefficients()] for f in forms if not f.is_zero()]
+    rows = [[Fraction(c) for c in f.coefficients()] for f in forms if any(f)]
     r = 0
     for col in range(3):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -303,10 +324,11 @@ def form_lists(draw):
 
 
 @given(form_lists())
+@example([BinaryQuadraticForm(0, 1, 0), BinaryQuadraticForm(0, 0, 1)])  # phi = (1, 0, 0)
 def test_pencil_matches_reference_elimination(forms):
     rank, u, phi = _pencil(forms)
     assert rank == rank_int_rows([f.coefficients() for f in forms])
-    assert u == next((f for f in forms if not f.is_zero()), None)
+    assert u == next((f for f in forms if any(f)), None)
     assert (phi is None) == (rank < 2)
     if rank >= 2:
         echelon = [[str(c) for c in f.coefficients()] for f in _echelon_pencil(rank, phi)]
@@ -572,8 +594,6 @@ def _circle_quotient_model(lambdas, alpha):
 
 
 def _sphere_product_poincare(dims, max_degree):
-    from torquot import poincare_polynomial_spheres
-
     full = poincare_polynomial_spheres(dims)
     full += [0] * (max_degree + 1)
     return full[: max_degree + 1]

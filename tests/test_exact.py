@@ -10,7 +10,6 @@ from torquot import (
     BinaryQuadraticForm,
     Polynomial,
     PreconditionError,
-    build_d_alpha_model,
     det2,
     is_rational_square,
     square_class_isomorphic,
@@ -18,6 +17,8 @@ from torquot import (
 )
 from torquot.cdga import UNIT
 from torquot.exact import rank_int_rows
+
+from conftest import build_d_alpha_model
 
 
 def test_rational_invariants():

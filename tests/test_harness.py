@@ -30,7 +30,7 @@ from torquot.harness import (
     run_t2_campaign,
 )
 
-from conftest import FAULT_BLOCKS, format_action
+from conftest import FAULT_BLOCKS, comparable, format_action
 
 
 def test_grid_spec_validation():
@@ -96,7 +96,7 @@ def test_random_campaign_reproducible():
     grid = GridSpec(3, 2, mode="random", count=1500, seed=77)
     a = run_t2_campaign(grid)
     b = run_t2_campaign(grid)
-    assert a.comparable() == b.comparable()
+    assert comparable(a) == comparable(b)
     other = run_t2_campaign(GridSpec(3, 2, mode="random", count=1500, seed=78))
     assert other.totals != a.totals or other.violation_witnesses != a.violation_witnesses
 
@@ -337,7 +337,7 @@ def test_row_masks_equal_the_walk(case):
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_pool_draws_at_most_one_chunk_past_the_window(jobs, monkeypatch):
     grid = GridSpec(3, 1, mode="random", count=3000, seed=5)
-    expected = run_t2_campaign(grid, jobs=1).comparable()
+    expected = comparable(run_t2_campaign(grid, jobs=1))
     drawn, consumed, ahead = [0], [0], []
 
     class LazyFuture:  # scans its chunk only when the campaign asks for the result
@@ -369,7 +369,7 @@ def test_pool_draws_at_most_one_chunk_past_the_window(jobs, monkeypatch):
     draw = harness._draw
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
     monkeypatch.setattr(harness, "_draw", counted_draw)
-    assert run_t2_campaign(grid, jobs=jobs).comparable() == expected
+    assert comparable(run_t2_campaign(grid, jobs=jobs)) == expected
     assert drawn[0] == consumed[0] == 4 * jobs
     assert max(ahead) == jobs + 1
 
@@ -378,19 +378,19 @@ def test_jobs_do_not_change_report():
     grid = GridSpec(2, 1)
     seq = run_t2_campaign(grid, jobs=1)
     par = run_t2_campaign(grid, jobs=2)
-    assert seq.comparable() == par.comparable()
+    assert comparable(seq) == comparable(par)
     # 12 chunks of the 81 blocks: uneven chunk sizes (6 or 7 blocks)
-    assert run_t2_campaign(grid, jobs=3).comparable() == seq.comparable()
+    assert comparable(run_t2_campaign(grid, jobs=3)) == comparable(seq)
     rnd = GridSpec(3, 1, mode="random", count=2000, seed=5)
     assert (
-        run_t2_campaign(rnd, jobs=1).comparable()
-        == run_t2_campaign(rnd, jobs=2).comparable()
+        comparable(run_t2_campaign(rnd, jobs=1))
+        == comparable(run_t2_campaign(rnd, jobs=2))
     )
     # fewer tuples than jobs * 4: one tuple per chunk
     tiny = GridSpec(2, 1, mode="random", count=5, seed=5)
     tiny_seq = run_t2_campaign(tiny, jobs=1)
     assert tiny_seq.totals["tested"] == 5
-    assert run_t2_campaign(tiny, jobs=2).comparable() == tiny_seq.comparable()
+    assert comparable(run_t2_campaign(tiny, jobs=2)) == comparable(tiny_seq)
 
 
 def test_report_is_json_serializable():
@@ -433,7 +433,7 @@ def test_drawn_chunks_hold_at_most_draw_chunk_tuples(jobs, monkeypatch):
     # a random grid is cut into chunks of at most DRAW_CHUNK tuples, which does
     # not change its report; an exhaustive grid keeps its 4 * jobs chunks
     grid = GridSpec(3, 1, mode="random", count=2000, seed=5)
-    expected = run_t2_campaign(grid, jobs=jobs).comparable()
+    expected = comparable(run_t2_campaign(grid, jobs=jobs))
     sizes, scan = [], harness._scan
 
     def counted_scan(chunk):
@@ -443,7 +443,7 @@ def test_drawn_chunks_hold_at_most_draw_chunk_tuples(jobs, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness, "_scan", counted_scan)
     monkeypatch.setattr(harness, "DRAW_CHUNK", 64)
-    assert run_t2_campaign(grid, jobs=jobs).comparable() == expected
+    assert comparable(run_t2_campaign(grid, jobs=jobs)) == expected
     assert len(sizes) == 32 and max(sizes) <= 64 and sum(sizes) == 2000  # 2000 / 64 = 31.25
     sizes.clear()
     run_t2_campaign(GridSpec(2, 1), jobs=jobs)
@@ -537,7 +537,11 @@ def test_profile_mismatch_is_a_witness(monkeypatch, capsys):
 @pytest.mark.parametrize("make, message", [
     (lambda: GridSpec(2, 1, mode="orbits"), "unknown sample mode"),
     (lambda: run_profile_campaign(2), "n_max must be >= 3"),
-], ids=["unknown grid mode", "profiles below n = 3"])
+    (lambda: run_profile_campaign(5.5), "expected integer"),
+    (lambda: run_t2_campaign(GridSpec(2, 1), jobs=True), "expected integer"),
+    (lambda: run_t2_campaign(GridSpec(2, 1), jobs=1.0), "expected integer"),
+], ids=["unknown grid mode", "profiles below n = 3", "float n_max", "bool jobs",
+        "float jobs"])
 def test_harness_refusals(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()
@@ -563,13 +567,13 @@ def test_campaigns_never_build_the_pencil(monkeypatch):
     # the echelon basis is for output records only; a campaign that built
     # it would hit the forbidden stand-in and abort
     grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
-    expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
+    expected = [comparable(run_t2_campaign(grid, jobs=1)) for grid in grids]
 
     def forbidden(rank, phi):
         raise AssertionError("a campaign built the echelon pencil")
 
     monkeypatch.setattr(classify, "_echelon_pencil", forbidden)
-    assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
+    assert [comparable(run_t2_campaign(grid, jobs=1)) for grid in grids] == expected
 
 
 # classify_t2_quotient's records of FAULT_ROWS and of one action of each kind,
@@ -602,13 +606,13 @@ def test_campaigns_build_no_result_objects(monkeypatch):
     # campaigns tally the classifier's (kind, epsilon); only
     # classify_t2_quotient builds a ClassificationResult, for its record
     grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
-    expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
+    expected = [comparable(run_t2_campaign(grid, jobs=1)) for grid in grids]
 
     def forbidden(*args):
         raise AssertionError("a campaign built a ClassificationResult")
 
     monkeypatch.setattr(classify, "ClassificationResult", forbidden)
-    assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
+    assert [comparable(run_t2_campaign(grid, jobs=1)) for grid in grids] == expected
     monkeypatch.undo()
     for rows, record in RESULT_RECORDS.items():
         assert classify_t2_quotient(TorusActionS3(rows)).to_record() == record
@@ -628,7 +632,7 @@ def test_campaigns_build_no_fraction(monkeypatch):
     # lemma 6.4 and the unimodular complement run on ints: a campaign that
     # built a Fraction would hit the stand-in and abort
     grids = [GridSpec(2, 1), GridSpec(3, 1, mode="random", count=2000, seed=41)]
-    expected = [run_t2_campaign(grid, jobs=1).comparable() for grid in grids]
+    expected = [comparable(run_t2_campaign(grid, jobs=1)) for grid in grids]
     assert expected[1]["totals"]["free"] > 0
 
     class NoFraction:
@@ -637,7 +641,7 @@ def test_campaigns_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(classify, "Fraction", NoFraction)
     monkeypatch.setattr(exact, "Fraction", NoFraction)
-    assert [run_t2_campaign(grid, jobs=1).comparable() for grid in grids] == expected
+    assert [comparable(run_t2_campaign(grid, jobs=1)) for grid in grids] == expected
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -940,6 +944,41 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert offenders == []
+
+
+# public names that only tests call yet, each kept for the ROADMAP item that needs it
+TEST_ONLY_NAMES = {
+    "canonical_quotient_model": "item 3",
+    "slice_invariants": "item 5",
+}
+
+
+def test_public_names_have_callers_outside_tests():
+    # a module-level public def or class that only tests call belongs in tests/.
+    # A reference is a name, an attribute or a dotted string (perfbench's span
+    # targets) in src/torquot, scripts/ or perfbench/ outside its tests; a def or
+    # class is no reference to itself, and __init__'s re-exports are not read.
+    # Methods are left out: their names collide with other names.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "torquot").glob("*.py"))
+    defined = [
+        node.name
+        for path in package
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    paths = [p for p in package if p.name != "__init__.py"]
+    paths += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    referenced = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.update(node.value.split("."))
+    assert sorted(set(defined) - referenced) == sorted(TEST_ONLY_NAMES)
 
 
 def test_every_perfbench_span_target_resolves():
