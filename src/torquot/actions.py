@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -197,9 +198,16 @@ def _free_rows(rows: Sequence[Row]) -> bool:
 MASK_BOUND = 4  # the largest bound `_row_masks` tabulates: 177 bits, 6,561 rows
 
 
+def _row_key(row: Row) -> int:
+    """The row's four entries as signed bytes, read as one native array('I') item: so the
+    keys of a chunk of rows held as array('b') are array('I', chunk.tobytes())."""
+    return array("I", array("b", row).tobytes())[0]
+
+
 @lru_cache(maxsize=None)
-def _row_masks(bound: int) -> tuple[dict[Row, int], int]:
-    """(table, effective bits): a bitmask for each row with entries in [-bound, bound].
+def _row_masks(bound: int) -> tuple[dict[int, int], int]:
+    """(table, effective bits): a bitmask for each row with entries in [-bound, bound],
+    keyed by `_row_key(row)`.
 
     Bit i stands for one way a tuple can fail, and a tuple fails that way iff
     each of its rows has bit i set.  So for m the AND of a tuple's row masks:
@@ -227,7 +235,7 @@ def _row_masks(bound: int) -> tuple[dict[Row, int], int]:
             offset += p + 1
         lines[x, y] = m
     table = {
-        (a, b, k, l): divides[a, b] | divides[k, l] << 1 | lines[a, k] | lines[b, l]
+        _row_key((a, b, k, l)): divides[a, b] | divides[k, l] << 1 | lines[a, k] | lines[b, l]
         for a, b, k, l in product(values, repeat=4)
     }
     return table, (1 << shift) - 1

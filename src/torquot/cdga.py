@@ -49,6 +49,7 @@ class Monomial:
     powers: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        int_tuple(chain.from_iterable(self.powers), "monomial indices and exponents")
         idxs = [i for i, _ in self.powers]
         if idxs != sorted(set(idxs)):
             raise PreconditionError("monomial indices must be strictly ascending")
@@ -207,6 +208,7 @@ class EllipticReport:
 
 
 def check_elliptic_constraints(p: HomotopyProfile, k: int) -> EllipticReport:
+    int_tuple((k,), "rank")
     even_load = sum(j * v for j, v in p.d if j % 2 == 0)
     odd_weight = sum(j * v for j, v in p.d if j % 2 == 1)
     even_weight = sum((j - 1) * v for j, v in p.d if j % 2 == 0)

@@ -101,6 +101,7 @@ class SphereFactorization:
     circle_rank: int
 
     def __post_init__(self):
+        int_tuple((*self.spheres, self.circle_rank), "sphere dimensions and circle rank")
         object.__setattr__(self, "spheres", tuple(sorted(self.spheres)))
         if any(d < 2 for d in self.spheres):
             raise PreconditionError("sphere dimensions must be >= 2")

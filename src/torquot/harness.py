@@ -7,11 +7,14 @@ an error: it is recorded with a reproducible witness and the campaign keeps
 going, because a nonempty witness list is exactly the "theorem falsified"
 signal the harness exists to detect.  Up to MASK_BOUND the filter is the
 AND of each tuple's row masks (`actions._row_masks`; 0 iff effective and
-free), over a drawn chunk a factor's slice at a time and over the odometer a
+free).  Over a drawn chunk it reads the masks by packed row key
+(`actions._row_key`: the chunk's bytes as array('I')), a factor's slice at a
+time, and cuts only the survivors into row tuples.  Over the odometer it goes a
 block of (2B+1)^4 last rows at a time, whose survivors are kept by the AND of the
 N-1 leading rows' masks and share the block's pencil and a dict where the proof path
 keeps what those rows decide, so each tuple folds in its last row.  A random grid
-above it walks each tuple.  A chunk's tally is a flat dict (_TALLY); the report nests kinds.
+above it walks each tuple, cut from the chunk one at a time.  A chunk's tally is a
+flat dict (_TALLY); the report nests kinds.
 
 Determinism contract: the grid is statically partitioned into contiguous
 chunks (whole blocks for an exhaustive grid), per-chunk tallies are merged by
@@ -21,8 +24,9 @@ count.  Random mode draws from Python's random.Random (MT19937), named in the
 report config: the chunks are drawn in grid order from one generator, so the
 draw order does not depend on the worker count either.  The draw reads MT19937
 words in bulk but yields the stream of one randint(-B, B) call per slot (see
-_draw); for B <= 127 it reads each word's top byte through bytes.translate and
-holds a chunk's values as bytes.  A drawn chunk holds at most DRAW_CHUNK
+_draw); for B <= 127 it reads each word's top byte through bytes.translate.  A
+drawn chunk is only its flat values, one signed byte each (array('b')) for
+B <= 127 and 8 bytes each (array('q')) above, and holds at most DRAW_CHUNK
 tuples, so memory does not grow with the count.
 """
 
@@ -35,10 +39,10 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, compress, islice, pairwise, product, repeat
+from itertools import compress, islice, pairwise, product, repeat
 from operator import and_, not_
 
-from .actions import MASK_BOUND, _effective_rows, _forms, _free_rows, _row_masks
+from .actions import MASK_BOUND, _effective_rows, _forms, _free_rows, _row_key, _row_masks
 from .cdga import HomotopyProfile
 from .classify import (
     T2_KINDS,
@@ -169,8 +173,8 @@ def _byte_map(bound: int) -> tuple[bytes, bytes]:
             bytes(t for t in range(256) if t >> drop >= width))
 
 
-def _draw(rng, bound: int, n_factors: int, count: int) -> list:
-    """The next count weight tuples of a random grid, as row tuples.
+def _draw(rng, bound: int, n_factors: int, count: int) -> array:
+    """The next count weight tuples of a random grid, as their flat values.
 
     The values are those of one rng.randint(-bound, bound) call per slot,
     row-major, and rng is left where those calls leave it.  CPython's randint
@@ -179,8 +183,8 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
     least significant first.  Asking for m = the values still needed never
     takes a word that randint would not have taken.  For B <= 127, k <= 8, so
     the kept bits lie in each word's top byte: bytes.translate maps those bytes
-    to signed values and deletes the rejected ones, and the chunk's values are
-    held as bytes.  Above that each word is read as an int.
+    to signed values and deletes the rejected ones, and the values are an
+    array('b').  Above that each word is read as an int into an array('q').
     """
     width = 2 * bound + 1
     total = 4 * n_factors * count
@@ -190,40 +194,45 @@ def _draw(rng, bound: int, n_factors: int, count: int) -> list:
         while need := total - len(drawn):
             words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
             drawn += words[3::4].translate(table, rejected)
-        values = array("b", drawn)
-    else:
-        shift = 32 - width.bit_length()
-        values = []
-        while need := total - len(values):
-            # an array keeps the words unboxed until read: a tuple of ints would
-            # hold a whole chunk's words as objects at once
-            words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-            if sys.byteorder == "big":
-                words.byteswap()
-            values += [v - bound for w in words if (v := w >> shift) < width]
-    return list(zip(*[zip(*[iter(values)] * 4)] * n_factors))
+        return array("b", drawn)
+    shift = 32 - width.bit_length()
+    values = array("q")
+    while need := total - len(values):
+        # an array keeps the words unboxed until read: a tuple of ints would
+        # hold a whole chunk's words as objects at once
+        words = array("I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        values.extend(v - bound for w in words if (v := w >> shift) < width)
+    return values
 
 
-def _drawn_free(grid, actions, tally):
-    """The effective, free tuples of a drawn chunk, their pencils and None (each tuple's
-    proof path keeps its own dict): up to MASK_BOUND by the AND of row masks a factor's
-    slice at a time, else by the walk."""
+def _drawn_free(grid, values, tally):
+    """The effective, free tuples of a drawn chunk (its flat values), their pencils
+    and None (each tuple's proof path keeps its own dict).  Up to MASK_BOUND the
+    chunk's bytes read as array('I') are its row keys, and a tuple survives iff the
+    AND of its row masks, taken a factor's slice at a time, is 0; only survivors are
+    cut into rows.  Above it the walk cuts and tests one tuple at a time."""
+    n = grid.n_factors
+    tally["tested"] += len(values) // (4 * n)
     if grid.coefficient_bound > MASK_BOUND:
-        effective = list(filter(_effective_rows, actions))
-        n_effective, free = len(effective), list(filter(_free_rows, effective))
-    else:
-        table, effective_bits = _row_masks(grid.coefficient_bound)
-        n = grid.n_factors
-        masks = list(map(table.__getitem__, chain.from_iterable(actions)))
-        anded = masks[::n]
-        for i in range(1, n):
-            anded = list(map(and_, anded, masks[i::n]))
-        n_effective = list(map(and_, anded, repeat(effective_bits))).count(0)
-        free = list(compress(actions, map(not_, anded)))
-    tally["tested"] += len(actions)
-    tally["effective"] += n_effective
+        for rows in zip(*[zip(*[iter(values)] * 4)] * n):
+            if _effective_rows(rows):
+                tally["effective"] += 1
+                if _free_rows(rows):
+                    tally["free"] += 1
+                    yield rows, _pencil(_forms(rows)), None
+        return
+    table, effective_bits = _row_masks(grid.coefficient_bound)
+    masks = list(map(table.__getitem__, array("I", values.tobytes())))
+    anded = masks[::n]
+    for i in range(1, n):
+        anded = list(map(and_, anded, masks[i::n]))
+    tally["effective"] += list(map(and_, anded, repeat(effective_bits))).count(0)
+    free = list(compress(range(0, len(values), 4 * n), map(not_, anded)))
     tally["free"] += len(free)
-    for rows in free:
+    for start in free:
+        rows = tuple(zip(*[iter(values[start:start + 4 * n])] * 4))
         yield rows, _pencil(_forms(rows)), None
 
 
@@ -237,12 +246,14 @@ def _odometer_free(grid, lo, hi, tally):
     bound = grid.coefficient_bound
     table, effective_bits = _row_masks(bound)
     last_rows = list(product(range(-bound, bound + 1), repeat=4))
-    last = list(zip(map(table.__getitem__, last_rows), zip(last_rows, _forms(last_rows))))
-    size = len(last_rows)
+    masks = [table[_row_key(row)] for row in last_rows]
+    last = list(zip(masks, zip(last_rows, _forms(last_rows))))
+    size, depth = len(last_rows), grid.n_factors - 1
     survivors: dict = {}  # prefix mask -> (effective count, free (row, form)s)
     tally["tested"] += hi - lo
-    for prefix in islice(product(last_rows, repeat=grid.n_factors - 1), lo // size, hi // size):
-        mask = reduce(and_, map(table.__getitem__, prefix))
+    prefixes = zip(product(last_rows, repeat=depth), product(masks, repeat=depth))
+    for prefix, prefix_masks in islice(prefixes, lo // size, hi // size):
+        mask = reduce(and_, prefix_masks)
         if mask not in survivors:
             survivors[mask] = (sum(not mask & m & effective_bits for m, _ in last),
                                [row_form for m, row_form in last if not mask & m])
@@ -258,15 +269,16 @@ def _odometer_free(grid, lo, hi, tally):
 def _scan(args) -> tuple[dict, list]:
     """Worker: classify the weight tuples with grid index in [lo, hi).
 
-    Each tuple is a tuple of N row tuples.  A random grid's rows arrive drawn
-    by _draw; an exhaustive grid's are generated here in odometer order (the
-    last slot varies fastest), a block of last rows per prefix of N-1 rows.
+    A random grid's tuples arrive as the flat values _draw gave; an exhaustive
+    grid's are generated here in odometer order (the last slot varies fastest), a
+    block of last rows per prefix of N-1 rows.  Each survivor is a tuple of N row
+    tuples.
     """
-    grid, lo, hi, actions = args
+    grid, lo, hi, values = args
     tally = dict.fromkeys(_TALLY, 0)
     witnesses: list = []
-    free = (_odometer_free(grid, lo, hi, tally) if actions is None
-            else _drawn_free(grid, actions, tally))
+    free = (_odometer_free(grid, lo, hi, tally) if values is None
+            else _drawn_free(grid, values, tally))
     for rows, pencil, shared in free:
         _classify_rows(rows, pencil, shared, tally, witnesses)
     return tally, witnesses

@@ -203,10 +203,15 @@ _U, _X, _Y = Generator("u", 2), Generator("x", 3), Generator("y", 7)
     (lambda: HomotopyProfile(10.5, ((3, 2),)), PreconditionError, "expected integer"),
     (lambda: FreeCDGA([_U, _X]).betti_numbers(True), PreconditionError, "expected integer"),
     (lambda: FreeCDGA([_U, _X]).betti_numbers(3.5), PreconditionError, "expected integer"),
+    (lambda: Monomial(((0, 2.0),)), PreconditionError, "expected integer"),
+    (lambda: Monomial(((True, 1),)), PreconditionError, "expected integer"),
+    # a fractional rank would pass every comparison: .all_ok was True
+    (lambda: check_elliptic_constraints(HomotopyProfile(6, ((3, 2),)), 0.5),
+     PreconditionError, "expected integer"),
 ], ids=["duplicate names", "unknown generator index", "odd generator squared",
         "term without coefficient", "float degree", "float profile degree",
         "float profile count", "float profile dimension", "bool max degree",
-        "float max degree"])
+        "float max degree", "float exponent", "bool generator index", "float rank"])
 def test_cdga_refusals(make, error, message):
     with pytest.raises(error, match=message):
         make()

@@ -270,13 +270,15 @@ def test_classify_preconditions():
     (lambda: enumerate_profiles(10, True, "almost_free"), "expected integer"),
     (lambda: enumerate_profiles(10.0, 1, "almost_free"), "expected integer"),
     (lambda: canonical_quotient_model(S2XS2_PRODUCT, 3.0), "expected integer"),
+    (lambda: SphereFactorization((3.0, 5), 1.0), "expected integer"),
+    (lambda: SphereFactorization((3, 5), True), "expected integer"),
 ], ids=["sphere below S^2", "circle rank above dimension", "unknown kind",
         "effective rank at n = 0", "almost-free rank at n = 0", "slice at n = 2",
         "epsilon at rank 3", "result of unknown kind", "result of rank 1",
         "T1 result of rank 2", "epsilon with a rank-3 result", "effective rank of a float",
         "almost-free rank of a float", "slice of a float", "float Euler coefficients",
         "float alpha beside a nonzero lambda", "bool rank", "float dimension",
-        "float factor count"])
+        "float factor count", "float sphere dimension", "bool circle rank"])
 def test_classify_refusals(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()

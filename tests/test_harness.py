@@ -9,6 +9,8 @@ import operator
 import random
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -101,13 +103,9 @@ def test_random_campaign_reproducible():
     assert other.totals != a.totals or other.violation_witnesses != a.violation_witnesses
 
 
-def _randint_rows(rng, bound, n_factors, count):
+def _randint_values(rng, bound, n_factors, count):
     # the documented sampler: one randint(-B, B) per slot, row-major
-    out = []
-    for _ in range(count):
-        flat = [rng.randint(-bound, bound) for _ in range(4 * n_factors)]
-        out.append(tuple(tuple(flat[4 * i: 4 * i + 4]) for i in range(n_factors)))
-    return out
+    return [rng.randint(-bound, bound) for _ in range(4 * n_factors * count)]
 
 
 # B <= 127 reads each word's top byte (2B+1 < 2**8), B >= 128 the whole word
@@ -117,9 +115,9 @@ def test_draw_is_the_randint_stream(bound, n_factors):
     for seed in (0, 42, 2 ** 64 - 1):
         bulk, slot = random.Random(seed), random.Random(seed)
         for count in (1, 7, 100):  # drawn in sequence from one generator
-            assert harness._draw(bulk, bound, n_factors, count) == _randint_rows(
-                slot, bound, n_factors, count
-            )
+            values = harness._draw(bulk, bound, n_factors, count)
+            assert values.typecode == ("b" if bound <= 127 else "q")  # unboxed
+            assert values.tolist() == _randint_values(slot, bound, n_factors, count)
             assert bulk.getstate() == slot.getstate()  # no word over-drawn
 
 
@@ -127,10 +125,47 @@ def test_draw_is_the_randint_stream(bound, n_factors):
 @given(st.integers(1, 300), st.integers(2, 5), st.integers(1, 50), st.integers(0, 2 ** 64 - 1))
 def test_draw_is_the_randint_stream_for_any_grid(bound, n_factors, count, seed):
     bulk, slot = random.Random(seed), random.Random(seed)
-    assert harness._draw(bulk, bound, n_factors, count) == _randint_rows(
+    assert harness._draw(bulk, bound, n_factors, count).tolist() == _randint_values(
         slot, bound, n_factors, count
     )
     assert bulk.getstate() == slot.getstate()
+
+
+# the mask filter at B <= MASK_BOUND, the walk above it, on both sides of the byte draw
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 127, 128]), st.integers(2, 5), st.integers(1, 300),
+       st.integers(0, 2 ** 64 - 1))
+def test_drawn_free_is_the_walk_over_the_randint_stream(bound, n_factors, count, seed):
+    flat = _randint_values(random.Random(seed), bound, n_factors, count)
+    width = 4 * n_factors
+    tuples = [tuple(tuple(flat[t + i: t + i + 4]) for i in range(0, width, 4))
+              for t in range(0, len(flat), width)]
+    effective = [rows for rows in tuples if actions._effective_rows(rows)]
+    free = [rows for rows in effective if actions._free_rows(rows)]
+    grid = GridSpec(n_factors, bound, mode="random", count=count, seed=seed)
+    tally = dict.fromkeys(harness._TALLY, 0)
+    values = harness._draw(random.Random(seed), bound, n_factors, count)
+    drawn = list(harness._drawn_free(grid, values, tally))
+    assert [rows for rows, _, _ in drawn] == free
+    assert [pencil for _, pencil, _ in drawn] == [
+        classify._pencil(actions._forms(rows)) for rows in free
+    ]
+    assert (tally["tested"], tally["effective"], tally["free"]) == (
+        count, len(effective), len(free)
+    )
+
+
+def test_drawn_chunk_holds_only_its_values():
+    # one N=4 chunk of DRAW_CHUNK tuples at B=20 is 2**20 values: as signed bytes
+    # its draw peaks near 8 MB, where row tuples of int objects peaked near 37 MB
+    tracemalloc.start()
+    try:
+        values = harness._draw(random.Random(5), 20, 4, harness.DRAW_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 16 * harness.DRAW_CHUNK
+    assert peak < 12 * 2 ** 20
 
 
 # random grids above MASK_BOUND are filtered by the walk; read at the parent of the
@@ -329,9 +364,20 @@ def filter_rows(draw):
 def test_row_masks_equal_the_walk(case):
     bound, rows = case
     table, effective_bits = actions._row_masks(bound)
-    m = functools.reduce(operator.and_, map(table.__getitem__, rows))
+    m = functools.reduce(operator.and_, (table[actions._row_key(row)] for row in rows))
     effective = actions._effective_rows(rows)
     assert (not m & effective_bits, not m) == (effective, effective and actions._free_rows(rows))
+
+
+@pytest.mark.parametrize("bound", range(1, actions.MASK_BOUND + 1))
+def test_row_key_is_the_bulk_reading_of_the_row_bytes(bound):
+    # _drawn_free reads a chunk's keys as array('I') over its signed bytes
+    assert array("I").itemsize == 4
+    rows = list(itertools.product(range(-bound, bound + 1), repeat=4))
+    keys = [actions._row_key(row) for row in rows]
+    assert keys == array("I", array("b", itertools.chain.from_iterable(rows)).tobytes()).tolist()
+    assert len(set(keys)) == len(rows)
+    assert set(actions._row_masks(bound)[0]) == set(keys)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -437,7 +483,9 @@ def test_drawn_chunks_hold_at_most_draw_chunk_tuples(jobs, monkeypatch):
     sizes, scan = [], harness._scan
 
     def counted_scan(chunk):
-        sizes.append(chunk[2] - chunk[1] if chunk[3] is None else len(chunk[3]))
+        # a drawn chunk is its flat values, 4N per tuple
+        spec, lo, hi, values = chunk
+        sizes.append(hi - lo if values is None else len(values) // (4 * spec.n_factors))
         return scan(chunk)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
